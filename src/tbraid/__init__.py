@@ -28,10 +28,9 @@ from .braid import (
     transversal_pair,
     z_ij,
 )
-from .freegroup import FreeWord, fw_apply, fw_inv, fw_mul, fw_reduce
+from .freegroup import FreeWord, fw_apply, fw_inv, fw_mul
 from .gn import (
     GnElement,
-    ab_vector,
     act_generator,
     act_word,
     format_element,

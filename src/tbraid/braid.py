@@ -130,6 +130,13 @@ def power_word(w: BraidWord, m: int) -> BraidWord:
     return BraidWord(w.n, base.letters * abs(m))
 
 
+def random_word(n: int, max_len: int, rng: random.Random, min_len: int = 0) -> BraidWord:
+    """A word of length uniform in [min_len, max_len] with uniformly drawn
+    letters; the length is drawn first, then each letter's sign and index."""
+    length = rng.randint(min_len, max_len)
+    return BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)))
+
+
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse the shared text format: whitespace-separated signed integers.
 
@@ -274,9 +281,8 @@ def linking_matrix(w: BraidWord) -> tuple[tuple[int, ...], ...]:
         cross[a - 1][b - 1] += sign
         cross[b - 1][a - 1] += sign
         pos[k - 1], pos[k] = pos[k], pos[k - 1]
-    for i in range(n):
-        for j in range(n):
-            assert cross[i][j] % 2 == 0, "odd crossing count on a pure braid"
+    if any(c % 2 for row in cross for c in row):
+        raise AssertionError("odd crossing count on a pure braid")
     return tuple(tuple(c // 2 for c in row) for row in cross)
 
 

@@ -162,21 +162,17 @@ def _cmd_prop71_check(args) -> int:
     _require_n(args, 5, "the generation criterion")
     G = GnInstance(args.n)
     S = parse_element(args.element, args.n)
-    bound = args.bound if args.bound_override is None else args.bound_override
-    report = check_prop71(G, S, bound=bound, seed=args.seed)
-    return _report_exit(args, report)
+    return _report_exit(args, check_prop71(G, S, bound=args.bound, seed=args.seed))
 
 
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    cases = args.cases if args.cases_override is None else args.cases_override
-    seed = args.seed if args.seed_override is None else args.seed_override
-    results = run_suites(names, cases, seed)
+    results = run_suites(names, args.cases, args.seed)
     ok = all(all(checks.values()) for checks in results.values())
     payload = {
         "suites": results,
-        "cases": cases,
-        "seed": seed,
+        "cases": args.cases,
+        "seed": args.seed,
         "pass": ok,
     }
     lines = []
@@ -268,14 +264,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prop71-check", help="generation criterion (n >= 5)")
     p.add_argument("element")
-    p.add_argument("--bound", type=int, default=None, dest="bound_override")
+    # A subcommand copy of a global option leaves the global value in place
+    # unless it is given, and then wins.
+    p.add_argument("--bound", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_prop71_check)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=sorted(SUITES) + ["all"])
-    p.add_argument("--cases", type=int, default=None, dest="cases_override")
-    p.add_argument("--seed", type=int, default=None, dest="seed_override")
+    p.add_argument("--cases", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -66,17 +66,6 @@ def fw_gen(n: int, k: int) -> FreeWord:
     return FreeWord(n, (k,))
 
 
-def fw_reduce(raw: Sequence[int], n: int) -> FreeWord:
-    """Freely reduce a raw letter sequence over the rank-n alphabet.
-
-    Idempotent: reducing an already reduced word returns it unchanged.
-
-    >>> fw_reduce([1, -1], 2).letters
-    ()
-    """
-    return FreeWord(n, tuple(raw))
-
-
 def fw_mul(a: FreeWord, b: FreeWord) -> FreeWord:
     """Product in the free group (concatenate, then reduce)."""
     if a.n != b.n:

@@ -136,11 +136,6 @@ def gn_commutator(a: GnElement, b: GnElement) -> GnElement:
     return gn_mul(gn_mul(a, b), gn_mul(gn_inv(a), gn_inv(b)))
 
 
-def ab_vector(g: GnElement) -> tuple[int, ...]:
-    """Coordinates of g in the abelianization A(n)."""
-    return g.vec
-
-
 def gn_product(factors: Iterable[GnElement], n: int) -> GnElement:
     out = gn_identity(n)
     for f in factors:
@@ -237,7 +232,8 @@ def _invert_unimodular(rows: Sequence[Sequence[int]]) -> list[list[int]]:
                 f = a[r][col]
                 a[r] = [x - f * y for x, y in zip(a[r], a[col])]
     inv = [[a[i][m + j] for j in range(m)] for i in range(m)]
-    assert all(x.denominator == 1 for row in inv for x in row), "matrix not unimodular"
+    if any(x.denominator != 1 for row in inv for x in row):
+        raise AssertionError("matrix not unimodular")
     return [[int(x) for x in row] for row in inv]
 
 
@@ -264,7 +260,8 @@ def action_inverse_images(n: int, i: int) -> tuple[GnElement, ...]:
     for k in range(n):
         candidate = GnElement(n, 0, tuple(inv_matrix[k]))
         round_trip = _apply_images(fwd, candidate)
-        assert round_trip.vec == gn_generator(n, k).vec, "bad abelian inverse"
+        if round_trip.vec != gn_generator(n, k).vec:
+            raise AssertionError("bad abelian inverse")
         images.append(GnElement(n, round_trip.bit, candidate.vec))
     return tuple(images)
 

@@ -43,17 +43,19 @@ from .braid import (
     BraidWord,
     HalfTwist,
     bn_equal,
-    classify_pair,
     concat,
+    conj_word,
     frame,
     frame_transport,
     ht_conjugate,
     ht_endpoints,
     ht_word,
     inv_word,
+    random_word,
 )
-from .gn import GnElement, act_generator, gn_identity, gn_inv, gn_mul, gn_nu, gn_pow
-from .quotient import c_word, normal_form
+from .gn import (GnElement, act_generator, gn_generator, gn_identity, gn_inv, gn_mul, gn_nu,
+                 gn_pow, gn_product)
+from .quotient import c_word, normal_form, tbn_equal
 
 
 class GnInstance:
@@ -87,8 +89,7 @@ class GnInstance:
         return g.vec[0] == 0
 
     def generating_set(self) -> list[GnElement]:
-        return [GnElement(self.n, 0, tuple(int(k == j) for j in range(self.n)))
-                for k in range(self.n)]
+        return [gn_generator(self.n, k) for k in range(self.n)]
 
     def degree_zero_generators(self) -> list[GnElement]:
         return [g for g in self.generating_set() if self.in_degree_zero(g)] + [gn_nu(self.n)]
@@ -163,6 +164,18 @@ def _finish_report(conditions: dict[str, bool], order: Sequence[str],
     return PrimeReport(verdict, conditions, bound, seed, witness or None)
 
 
+def _frame_identities(G, u) -> tuple[bool, bool, bool]:
+    """The identities both criteria impose on u: conditions 2a, 2b and 3 of
+    check_prime_frame, which are conditions 1a, 1b and 3 of check_prop71."""
+    first = G.eq(act_by(G, u, [-2, -1]), G.mul(G.inv(u), act_by(G, u, [-2])))
+    second = G.eq(
+        act_by(G, u, [1, -2, -1]),
+        G.mul(G.inv(act_by(G, u, [1])), act_by(G, u, [1, -2])),
+    )
+    far = all(G.eq(act_by(G, u, [j]), u) for j in range(3, G.n))
+    return first, second, far
+
+
 # ---------------------------------------------------------------------------
 # the frame criterion
 
@@ -199,8 +212,7 @@ def check_prime_frame(G, u, tau, centrality_sample: Sequence | None = None,
             letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(4)]
             centrality_sample.append(act_by(G, u, letters))
 
-    inv_u = G.inv(u)
-    cond1 = G.eq(act_by(G, u, [-1]), G.mul(inv_u, tau))
+    cond1 = G.eq(act_by(G, u, [-1]), G.mul(G.inv(u), tau))
     if not cond1:
         witness["1"] = "u_{X_1^-1} != u^-1 tau"
     if not G.eq(G.mul(tau, tau), G.identity()):
@@ -217,12 +229,7 @@ def check_prime_frame(G, u, tau, centrality_sample: Sequence | None = None,
             witness["1"] = "tau fails to commute with a sampled element"
             break
 
-    cond2a = G.eq(act_by(G, u, [-2, -1]), G.mul(inv_u, act_by(G, u, [-2])))
-    cond2b = G.eq(
-        act_by(G, u, [1, -2, -1]),
-        G.mul(G.inv(act_by(G, u, [1])), act_by(G, u, [1, -2])),
-    )
-    cond3 = all(G.eq(act_by(G, u, [j]), u) for j in range(3, n))
+    cond2a, cond2b, cond3 = _frame_identities(G, u)
     conditions = {"1": cond1, "2a": cond2a, "2b": cond2b, "3": cond3}
     return _finish_report(conditions, ["1", "2a", "2b", "3"], None, seed, witness)
 
@@ -266,18 +273,12 @@ def check_prop71(G, S, generators: Sequence | None = None, bound: int = 3,
             witness["0"] = "a configured generator is outside the bounded orbit subgroup"
             break
 
-    inv_S = G.inv(S)
-    cond1a = G.eq(act_by(G, S, [-2, -1]), G.mul(inv_S, act_by(G, S, [-2])))
-    cond1b = G.eq(
-        act_by(G, S, [1, -2, -1]),
-        G.mul(G.inv(act_by(G, S, [1])), act_by(G, S, [1, -2])),
-    )
+    cond1a, cond1b, cond3 = _frame_identities(G, S)
     tau = G.mul(S, act_by(G, S, [-1]))
     T = act_by(G, S, [-2])
     cond2a = G.eq(act_by(G, tau, [1, 1]), tau)
     tau_T = G.mul(G.inv(T), G.mul(tau, T))
     cond2b = G.eq(tau_T, act_by(G, G.inv(tau), [1]))
-    cond3 = all(G.eq(act_by(G, S, [j]), S) for j in range(3, n))
     cond4 = G.eq(act_by_word(G, S, c_word(n)), S)
 
     conditions = {"0": cond0, "1a": cond1a, "1b": cond1b,
@@ -372,15 +373,6 @@ def _solve_integer_combination(rows: list[list[int]], target: Sequence[int]) -> 
     return [sum(z[r] * u[r][i] for r in range(m)) for i in range(m)]
 
 
-def _fixed_order_product(gens: list[GnElement], coeffs: Sequence[int]) -> GnElement:
-    n = gens[0].n
-    out = gn_identity(n)
-    for g, c in zip(gens, coeffs):
-        if c:
-            out = gn_mul(out, gn_pow(g, c))
-    return out
-
-
 def _nu_reachable(gens: list[GnElement]) -> bool:
     """Whether nu lies in the subgroup generated by gens."""
     from .gn import q_value
@@ -394,7 +386,7 @@ def _nu_reachable(gens: list[GnElement]) -> bool:
     rows = [list(g.vec) for g in gens]
     _, u, rank = _hnf_with_transform(rows)
     for kernel_row in u[rank:]:
-        if _fixed_order_product(gens, kernel_row).bit:
+        if gn_product(map(gn_pow, gens, kernel_row), n).bit:
             return True
     return False
 
@@ -405,8 +397,9 @@ def _subgroup_contains(gens: list[GnElement], target: GnElement) -> bool:
     coeffs = _solve_integer_combination([list(g.vec) for g in gens], target.vec)
     if coeffs is None:
         return False
-    achieved = _fixed_order_product(gens, coeffs)
-    assert achieved.vec == target.vec
+    achieved = gn_product(map(gn_pow, gens, coeffs), target.n)
+    if achieved.vec != target.vec:
+        raise AssertionError("integer combination missed the target's abelian coordinates")
     if achieved.bit == target.bit:
         return True
     return _nu_reachable(gens)
@@ -416,17 +409,14 @@ def _subgroup_contains(gens: list[GnElement], target: GnElement) -> bool:
 # transport
 
 
-def transport(G, pair: PolarizedPair, target: HalfTwist):
-    """The unique prime element coherent with the pair and supported on the
-    polarized target half-twist.
+def _transport_conjugator(ht: HalfTwist, target: HalfTwist) -> BraidWord:
+    """A braid b with (ht)_b = target as polarized half-twists.
 
-    A braid b moving the pair's support onto the target is assembled from
-    the frame transport between the two indices; if the ordered endpoints
-    come out reversed, b is corrected by one extra factor of the target
-    half-twist itself (which fixes the half-twist and swaps its endpoints).
-    Uniqueness makes the result independent of all these choices.
+    b is assembled from the frame transport between the two indices; if the
+    ordered endpoints come out reversed, b is corrected by one extra factor
+    of the target half-twist itself (which fixes the half-twist and swaps its
+    endpoints).
     """
-    ht = pair.ht
     n = ht.n
     if target.n != n:
         raise ValueError(f"mismatched strand counts {n} and {target.n}")
@@ -438,7 +428,16 @@ def transport(G, pair: PolarizedPair, target: HalfTwist):
         if set(ht_endpoints(moved)) != set(ht_endpoints(target)):
             raise AssertionError("transport endpoints disagree as sets")
         b = concat(b, ht_word(target))
-    return act_by_word(G, pair.h, b)
+    return b
+
+
+def transport(G, pair: PolarizedPair, target: HalfTwist):
+    """The unique prime element coherent with the pair and supported on the
+    polarized target half-twist: the pair's element pushed along a braid
+    moving its support onto the target.  Uniqueness makes the result
+    independent of the choice of that braid.
+    """
+    return act_by_word(G, pair.h, _transport_conjugator(pair.ht, target))
 
 
 # ---------------------------------------------------------------------------
@@ -471,21 +470,22 @@ def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist],
     axiom (1) is checked directly against tau (derived as g . g_{X^-1} if
     not given).
     """
-    from .quotient import tbn_equal
-
     witness: dict = {"checked": {"2": 0, "3": 0, "skipped": 0}}
-    if tau is None:
-        tau = G.mul(g, act_by_word(G, g, inv_word(ht_word(X))))
     x_word = ht_word(X)
     x_inv = inv_word(x_word)
+    if tau is None:
+        tau = G.mul(g, act_by_word(G, g, x_inv))
     cond1 = G.eq(act_by_word(G, g, x_inv), G.mul(G.inv(g), tau))
     cond1 = cond1 and G.eq(G.mul(tau, tau), G.identity())
     cond2 = True
     cond3 = True
     for Y in samples:
-        rel = classify_pair(X, Y)
-        y_inv = inv_word(ht_word(Y))
-        if rel.common_endpoints == 1:
+        if Y.n != X.n:
+            raise ValueError(f"mismatched strand counts {X.n} and {Y.n}")
+        y_word = ht_word(Y)
+        y_inv = inv_word(y_word)
+        common = len(set(ht_endpoints(X)) & set(ht_endpoints(Y)))
+        if common == 1:
             witness["checked"]["2"] += 1
             lhs_a = act_by_word(G, g, concat(x_word, y_inv, x_inv))
             rhs_a = G.mul(G.inv(act_by_word(G, g, x_word)),
@@ -495,11 +495,9 @@ def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist],
             if not (G.eq(lhs_a, rhs_a) and G.eq(lhs_b, rhs_b)):
                 cond2 = False
                 witness["2"] = "axiom (2) failed on an adjacent sample"
-        elif rel.common_endpoints == 0 and (
-                rel.commute or tbn_equal(
-                    concat(ht_word(X), ht_word(Y), inv_word(ht_word(X))), ht_word(Y))):
+        elif common == 0 and tbn_equal(concat(x_word, y_word, x_inv), y_word):
             witness["checked"]["3"] += 1
-            if not G.eq(act_by_word(G, g, ht_word(Y)), g):
+            if not G.eq(act_by_word(G, g, y_word), g):
                 cond3 = False
                 witness["3"] = "a commuting weakly disjoint sample moved g"
         else:
@@ -563,9 +561,6 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     conditions: dict[str, bool] = {}
     witness: dict = {}
 
-    def eq(a, b) -> bool:
-        return G.eq(a, b)
-
     def act(g, w: BraidWord):
         return act_by_word(G, g, w)
 
@@ -573,8 +568,8 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     h_xinv = act(h, inv_word(x_word))
     target = G.mul(G.inv(h), tau)
     conditions["support-involution"] = (
-        eq(h_x, target) and eq(h_xinv, target)
-        and eq(act(h, concat(x_word, x_word)), h)
+        G.eq(h_x, target) and G.eq(h_xinv, target)
+        and G.eq(act(h, concat(x_word, x_word)), h)
     )
 
     # Consecutive neighbours of the support: conjugates of the frame pair.
@@ -586,10 +581,10 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     ok_sq = ok_comm = True
     for Y in neighbours:
         y_inv = inv_word(ht_word(Y))
-        ok_sq = ok_sq and eq(act(h, concat(y_inv, y_inv)), G.mul(h, tau))
+        ok_sq = ok_sq and G.eq(act(h, concat(y_inv, y_inv)), G.mul(h, tau))
         h_y = act(h, y_inv)
         comm = G.mul(G.mul(h, h_y), G.mul(G.inv(h), G.inv(h_y)))
-        ok_comm = ok_comm and eq(comm, tau)
+        ok_comm = ok_comm and G.eq(comm, tau)
     conditions["neighbour-inverse-square"] = ok_sq
     conditions["neighbour-commutator"] = ok_comm
 
@@ -597,8 +592,7 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     ok1 = ok2 = ok3 = True
     for _ in range(cases):
         j = rng.randint(1, n - 2)
-        b = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                               for _ in range(rng.randint(0, 6))))
+        b = random_word(n, 6, rng)
         T = HalfTwist(b, j)
         Y = HalfTwist(b, j + 1)          # orderly adjacent to T
         Yp = HalfTwist(b, j + 1, True)   # the same support, reversed
@@ -607,9 +601,9 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
         lYp = transport(G, pair, Yp)
         t_inv = inv_word(ht_word(T))
         y_inv = inv_word(ht_word(Y))
-        ok1 = ok1 and eq(act(lT, t_inv), G.mul(G.inv(lT), tau))
-        ok2 = ok2 and eq(act(lT, y_inv), G.mul(lT, lY))
-        ok3 = ok3 and eq(act(lT, y_inv), G.mul(G.inv(lYp), lT))
+        ok1 = ok1 and G.eq(act(lT, t_inv), G.mul(G.inv(lT), tau))
+        ok2 = ok2 and G.eq(act(lT, y_inv), G.mul(lT, lY))
+        ok3 = ok3 and G.eq(act(lT, y_inv), G.mul(G.inv(lYp), lT))
     conditions["transport-support-inverse"] = ok1
     conditions["transport-orderly-adjacent"] = ok2
     conditions["transport-reversed-adjacent"] = ok3
@@ -617,8 +611,7 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     # Commutator dichotomy over coherent pairs.
     ok_adj = ok_disj = ok_trans = True
     for _ in range(cases):
-        b = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                               for _ in range(rng.randint(0, 6))))
+        b = random_word(n, 6, rng)
         configs = [
             ("adjacent", HalfTwist(b, 1), HalfTwist(b, 2)),
             ("disjoint", HalfTwist(b, 1), HalfTwist(b, 3)),
@@ -629,11 +622,11 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
             g2 = transport(G, pair, t2)
             comm = G.mul(G.mul(g1, g2), G.mul(G.inv(g1), G.inv(g2)))
             if kind == "adjacent":
-                ok_adj = ok_adj and eq(comm, tau)
+                ok_adj = ok_adj and G.eq(comm, tau)
             elif kind == "disjoint":
-                ok_disj = ok_disj and eq(comm, G.identity())
+                ok_disj = ok_disj and G.eq(comm, G.identity())
             else:
-                ok_trans = ok_trans and eq(comm, G.identity())
+                ok_trans = ok_trans and G.eq(comm, G.identity())
     conditions["dichotomy-adjacent"] = ok_adj
     conditions["dichotomy-disjoint"] = ok_disj
     conditions["dichotomy-transversal"] = ok_trans
@@ -642,21 +635,21 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     xi = {i: transport(G, pair, frame(n, i)) for i in range(1, n)}
     ok_self = ok_down = ok_up = ok_far = ok_cc = True
     for i in range(1, n):
-        ok_self = ok_self and eq(act(xi[i], BraidWord(n, (-i,))),
-                                 G.mul(G.inv(xi[i]), tau))
+        ok_self = ok_self and G.eq(act(xi[i], BraidWord(n, (-i,))),
+                                   G.mul(G.inv(xi[i]), tau))
         if i - 1 >= 1:
-            ok_down = ok_down and eq(act(xi[i], BraidWord(n, (-(i - 1),))),
-                                     G.mul(xi[i], xi[i - 1]))
+            ok_down = ok_down and G.eq(act(xi[i], BraidWord(n, (-(i - 1),))),
+                                       G.mul(xi[i], xi[i - 1]))
         if i + 1 <= n - 1:
-            ok_up = ok_up and eq(act(xi[i], BraidWord(n, (-(i + 1),))),
-                                 G.mul(xi[i], xi[i + 1]))
+            ok_up = ok_up and G.eq(act(xi[i], BraidWord(n, (-(i + 1),))),
+                                   G.mul(xi[i], xi[i + 1]))
         for j in range(1, n):
             if abs(j - i) >= 2:
-                ok_far = ok_far and eq(act(xi[i], BraidWord(n, (j,))), xi[i])
+                ok_far = ok_far and G.eq(act(xi[i], BraidWord(n, (j,))), xi[i])
         for j in range(i + 1, n):
             comm = G.mul(G.mul(xi[i], xi[j]), G.mul(G.inv(xi[i]), G.inv(xi[j])))
             expected = tau if j == i + 1 else G.identity()
-            ok_cc = ok_cc and eq(comm, expected)
+            ok_cc = ok_cc and G.eq(comm, expected)
     conditions["frame-family-support"] = ok_self
     conditions["frame-family-step-down"] = ok_down
     conditions["frame-family-step-up"] = ok_up
@@ -667,8 +660,8 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     # generators conjugated through the pair's own conjugator).
     ok_cp = True
     for w in _cp_generator_words(n, X.index):
-        moved = act(h, concat(inv_word(X.conj), w, X.conj))
-        ok_cp = ok_cp and eq(moved, h)
+        moved = act(h, conj_word(w, X.conj))
+        ok_cp = ok_cp and G.eq(moved, h)
     conditions["centralizer-invariance"] = ok_cp
 
     # Simultaneous conjugation of h and its reversed partner.
@@ -676,25 +669,17 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     partner = G.mul(G.inv(h), tau)
     for _ in range(min(cases, 10)):
         j = rng.randint(1, n - 1)
-        b0 = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                                for _ in range(rng.randint(0, 5))))
-        tgt = HalfTwist(b0, j)
+        tgt = HalfTwist(random_word(n, 5, rng), j)
         c1 = _random_cp_word(n, X.index, rng)
         c2 = _random_cp_word(n, X.index, rng)
-        base = concat(inv_word(X.conj), frame_transport(n, X.index, j), tgt.conj)
-        g1 = act(h, concat(conj_into(X, c1), base))
-        g2 = act(partner, concat(conj_into(X, c2), base))
-        ok_sim = ok_sim and eq(act(h, base), g1) and eq(act(partner, base), g2)
+        base = _transport_conjugator(X, tgt)
+        g1 = act(h, concat(conj_word(c1, X.conj), base))
+        g2 = act(partner, concat(conj_word(c2, X.conj), base))
+        ok_sim = ok_sim and G.eq(act(h, base), g1) and G.eq(act(partner, base), g2)
     conditions["simultaneous-conjugation"] = ok_sim
 
     order = list(conditions)
     return _finish_report(conditions, order, None, seed, witness)
-
-
-def conj_into(X: HalfTwist, w: BraidWord) -> BraidWord:
-    """Conjugate a centralizer word of the frame X_index through X's own
-    conjugator, landing in the centralizer of X itself."""
-    return concat(inv_word(X.conj), w, X.conj)
 
 
 def transport_uniqueness(G, pair: PolarizedPair, targets: int = 20,
@@ -704,19 +689,12 @@ def transport_uniqueness(G, pair: PolarizedPair, targets: int = 20,
     n = G.n
     for _ in range(targets):
         j = rng.randint(1, n - 1)
-        b0 = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1)
-                                for _ in range(rng.randint(0, 6))))
-        target = HalfTwist(b0, j, rng.random() < 0.5)
-        reference = transport(G, pair, target)
-        base = concat(inv_word(pair.ht.conj),
-                      frame_transport(n, pair.ht.index, target.index),
-                      target.conj)
-        moved = ht_conjugate(pair.ht, base)
-        if ht_endpoints(moved) != ht_endpoints(target):
-            base = concat(base, ht_word(target))
+        target = HalfTwist(random_word(n, 6, rng), j, rng.random() < 0.5)
+        base = _transport_conjugator(pair.ht, target)
+        reference = act_by_word(G, pair.h, base)
         for _ in range(perturbations):
             c = _random_cp_word(n, pair.ht.index, rng)
-            perturbed = act_by_word(G, pair.h, concat(conj_into(pair.ht, c), base))
+            perturbed = act_by_word(G, pair.h, concat(conj_word(c, pair.ht.conj), base))
             if not G.eq(perturbed, reference):
                 return False
     return True

@@ -159,7 +159,8 @@ def lift(g: GnElement) -> BraidWord:
         parts.append(power_word(factor, g.vec[j]))
     word = concat(*parts)
     nf = normal_form(word)
-    assert nf.perm.is_identity() and nf.g.vec == g.vec, "lift missed its target"
+    if not (nf.perm.is_identity() and nf.g.vec == g.vec):
+        raise AssertionError("lift missed its target")
     if nf.g.bit != g.bit:
         word = concat(word, c_word(n))
     return word

@@ -146,3 +146,28 @@ def test_json_mode_emits_one_document():
         _, out, _ = invoke(argv)
         json.loads(out)  # exactly one parseable document
         assert out.count("\n") == 1
+
+
+def test_global_and_subcommand_options_agree():
+    base = ["--n", "5", "--json"]
+    prime = "1;0,-1,0,0,0"
+    spellings = [
+        (["--seed", "3", "verify", "tits"], ["verify", "tits", "--seed", "3"], "seed", 3),
+        (["--cases", "7", "verify", "tits"], ["verify", "tits", "--cases", "7"], "cases", 7),
+        (["--bound", "2", "prop71-check", prime], ["prop71-check", prime, "--bound", "2"],
+         "bound", 2),
+    ]
+    for global_spelling, sub_spelling, key, value in spellings:
+        result = invoke(base + global_spelling)
+        assert json.loads(result[1])[key] == value
+        assert invoke(base + sub_spelling) == result
+
+
+def test_subcommand_option_wins_over_global():
+    base = ["--n", "5", "--json"]
+    _, out, _ = invoke(base + ["--cases", "7", "--seed", "1", "verify", "tits",
+                               "--cases", "5", "--seed", "2"])
+    payload = json.loads(out)
+    assert (payload["cases"], payload["seed"]) == (5, 2)
+    _, out, _ = invoke(base + ["--bound", "3", "prop71-check", "1;0,-1,0,0,0", "--bound", "2"])
+    assert json.loads(out)["bound"] == 2

@@ -9,29 +9,28 @@ from tbraid.freegroup import (
     fw_identity_images,
     fw_inv,
     fw_mul,
-    fw_reduce,
 )
 
 letters = st.lists(st.sampled_from([k for k in range(-4, 5) if k]), max_size=24)
 
 
 def test_reduce_examples():
-    assert fw_reduce([1, -1], 4).letters == ()
-    assert fw_reduce([1, 2, -2, 1], 4).letters == (1, 1)
-    assert fw_reduce([2, 1, -1, -2, 3], 4).letters == (3,)
+    assert FreeWord(4, (1, -1)).letters == ()
+    assert FreeWord(4, (1, 2, -2, 1)).letters == (1, 1)
+    assert FreeWord(4, (2, 1, -1, -2, 3)).letters == (3,)
 
 
 def test_reduce_rejects_out_of_range():
     with pytest.raises(ValueError):
-        fw_reduce([5], 4)
+        FreeWord(4, (5,))
     with pytest.raises(ValueError):
-        fw_reduce([0], 4)
+        FreeWord(4, (0,))
 
 
 @given(letters)
 def test_reduce_idempotent(raw):
-    once = fw_reduce(raw, 4)
-    assert fw_reduce(once.letters, 4) == once
+    once = FreeWord(4, tuple(raw))
+    assert FreeWord(4, once.letters) == once
 
 
 @given(letters)
@@ -45,7 +44,7 @@ def test_reduce_confluent(raw):
             break
         k = rng.choice(hits)
         del word[k:k + 2]
-    assert tuple(word) == fw_reduce(raw, 4).letters
+    assert tuple(word) == FreeWord(4, tuple(raw)).letters
 
 
 def test_mul_examples():
@@ -62,13 +61,13 @@ def test_mul_rejects_mismatched_rank():
 
 @given(letters, letters, letters)
 def test_mul_associative(a, b, c):
-    wa, wb, wc = (fw_reduce(x, 4) for x in (a, b, c))
+    wa, wb, wc = (FreeWord(4, tuple(x)) for x in (a, b, c))
     assert fw_mul(fw_mul(wa, wb), wc) == fw_mul(wa, fw_mul(wb, wc))
 
 
 @given(letters)
 def test_mul_inverse_cancels(a):
-    w = fw_reduce(a, 4)
+    w = FreeWord(4, tuple(a))
     assert fw_mul(w, fw_inv(w)).letters == ()
     assert fw_mul(fw_inv(w), w).letters == ()
 
@@ -96,6 +95,6 @@ def test_apply_rejects_bad_image_count():
 def test_apply_multiplicative(a, b):
     images = [FreeWord(4, (2,)), FreeWord(4, (2, 1, -2)),
               FreeWord(4, (4, 3)), FreeWord(4, (-1,))]
-    wa, wb = fw_reduce(a, 4), fw_reduce(b, 4)
+    wa, wb = FreeWord(4, tuple(a)), FreeWord(4, tuple(b))
     assert fw_apply(images, fw_mul(wa, wb)) == fw_mul(
         fw_apply(images, wa), fw_apply(images, wb))

@@ -6,14 +6,18 @@ value 1 emits one central factor nu), never touching the closed-form cocycle
 used by the implementation.
 """
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tbraid
 from tbraid.braid import BraidWord
 from tbraid.gn import (
     GnElement,
-    ab_vector,
     act_generator,
     act_word,
     beta,
@@ -151,9 +155,9 @@ def test_s_ij_against_rewriting_oracle():
 
 
 def test_ab_vector():
-    assert ab_vector(gn_nu(4)) == (0, 0, 0, 0)
-    assert ab_vector(s_ij(4, 1, 2)) == (1, 0, 0, 0)
-    assert ab_vector(s_ij(4, 1, 3)) == (1, 0, 1, 0)
+    assert gn_nu(4).vec == (0, 0, 0, 0)
+    assert s_ij(4, 1, 2).vec == (1, 0, 0, 0)
+    assert s_ij(4, 1, 3).vec == (1, 0, 1, 0)
 
 
 def test_act_generator_examples():
@@ -229,3 +233,14 @@ def test_element_text_roundtrip():
         parse_element("1;0,0", 5)
     with pytest.raises(ValueError, match="'x'"):
         parse_element("1;0,x,0,0,0", 5)
+
+
+def test_guards_raise_under_python_O():
+    # python -O strips assert statements; a guard that protects a result must
+    # still raise there.
+    src = str(Path(tbraid.__file__).resolve().parents[1])
+    code = "from tbraid.gn import _invert_unimodular; _invert_unimodular([[2]])"
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode != 0
+    assert "AssertionError: matrix not unimodular" in result.stderr

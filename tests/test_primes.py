@@ -2,7 +2,17 @@ import random
 
 import pytest
 
-from tbraid.braid import BraidWord, HalfTwist, frame, ht_conjugate
+from tbraid.braid import (
+    BraidWord,
+    HalfTwist,
+    classify_pair,
+    concat,
+    frame,
+    ht_conjugate,
+    ht_word,
+    inv_word,
+    random_word,
+)
 from tbraid.gn import (
     GnElement,
     gn_identity,
@@ -15,6 +25,7 @@ from tbraid.gn import (
 from tbraid.primes import (
     GnInstance,
     PolarizedPair,
+    _finish_report,
     _subgroup_contains,
     act_by_word,
     axiom_spot_check,
@@ -26,7 +37,7 @@ from tbraid.primes import (
     transport,
     transport_uniqueness,
 )
-from tbraid.quotient import normal_form
+from tbraid.quotient import normal_form, tbn_equal
 
 
 def test_canonical_prime_construction():
@@ -121,6 +132,73 @@ def test_axiom_spot_check_on_canonical_prime():
     assert report.verdict == "pass"
     assert report.witness["checked"]["2"] >= 1
     assert report.witness["checked"]["3"] >= 3  # two disjoint + one transversal
+
+
+def _spot_check_routed_by_classify_pair(G, g, X, samples, relations, tau):
+    """axiom_spot_check with each sample routed by its exact B_n relation
+    record (classify_pair), the routing it had before the quotient test
+    alone decided it; kept as a differential oracle."""
+    witness = {"checked": {"2": 0, "3": 0, "skipped": 0}}
+    x_word = ht_word(X)
+    x_inv = inv_word(x_word)
+    cond1 = G.eq(act_by_word(G, g, x_inv), G.mul(G.inv(g), tau))
+    cond1 = cond1 and G.eq(G.mul(tau, tau), G.identity())
+    cond2 = cond3 = True
+    for Y, rel in zip(samples, relations):
+        y_word = ht_word(Y)
+        y_inv = inv_word(y_word)
+        if rel.common_endpoints == 1:
+            witness["checked"]["2"] += 1
+            lhs_a = act_by_word(G, g, concat(x_word, y_inv, x_inv))
+            rhs_a = G.mul(G.inv(act_by_word(G, g, x_word)),
+                          act_by_word(G, g, concat(x_word, y_inv)))
+            lhs_b = act_by_word(G, g, concat(y_inv, x_inv))
+            rhs_b = G.mul(G.inv(g), act_by_word(G, g, y_inv))
+            if not (G.eq(lhs_a, rhs_a) and G.eq(lhs_b, rhs_b)):
+                cond2 = False
+                witness["2"] = "axiom (2) failed on an adjacent sample"
+        elif rel.common_endpoints == 0 and (
+                rel.commute or tbn_equal(concat(x_word, y_word, x_inv), y_word)):
+            witness["checked"]["3"] += 1
+            if not G.eq(act_by_word(G, g, y_word), g):
+                cond3 = False
+                witness["3"] = "a commuting weakly disjoint sample moved g"
+        else:
+            witness["checked"]["skipped"] += 1
+    conditions = {"1": cond1, "2": cond2, "3": cond3}
+    return _finish_report(conditions, ["1", "2", "3"], None, 0, witness)
+
+
+def test_axiom_spot_check_matches_classify_pair_routing():
+    rng = random.Random(53)
+    n = 5
+    G = GnInstance(n)
+    pair = canonical_prime(n)
+    # prime; passes (1) but breaks (2); breaks (1) and (3)
+    elements = (pair.h, gn_mul(pair.h, gn_nu(n)), gn_mul(gn_u(n, 1), gn_u(n, 2)))
+    totals = {"2": 0, "3": 0, "skipped": 0}
+    verdicts = set()
+    for _ in range(6):
+        b = random_word(n, 3, rng)
+        X = ht_conjugate(pair.ht, b)
+        # adjacent, disjoint, transversal, then two conjugated raw half-twists
+        samples = [ht_conjugate(frame(n, j), b) for j in (2, 3, 4)]
+        samples.append(ht_conjugate(_transversal_to_x1(n), b))
+        samples += [HalfTwist(random_word(n, 3, rng), rng.randint(1, n - 1)) for _ in range(2)]
+        relations = [classify_pair(X, Y) for Y in samples]
+        for Y, rel in zip(samples, relations):
+            if rel.commute:
+                x_word = ht_word(X)
+                assert tbn_equal(concat(x_word, ht_word(Y), inv_word(x_word)), ht_word(Y))
+        for g in (act_by_word(G, element, b) for element in elements):
+            report = axiom_spot_check(G, g, X, samples, tau=pair.tau)
+            oracle = _spot_check_routed_by_classify_pair(G, g, X, samples, relations, pair.tau)
+            assert report.to_json() == oracle.to_json()
+            verdicts.add(report.verdict)
+            for key in totals:
+                totals[key] += report.witness["checked"][key]
+    assert all(totals.values()), totals
+    assert verdicts == {"pass", "fail(1)", "fail(2)"}, verdicts
 
 
 def test_conjugation_stability():
