@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
-from .freegroup import FreeWord, fw_gen, fw_identity_images
+from .freegroup import FreeWord, fw_identity_images
 
 
 @dataclasses.dataclass(frozen=True)
@@ -192,35 +192,19 @@ def exponent_sum(w: BraidWord) -> int:
 
 
 def _act_letter(images: list[FreeWord], i: int, positive: bool) -> list[FreeWord]:
-    """Post-compose generator images with the elementary action of X_i^±1."""
-    n = images[0].n
-    xi, xi1 = fw_gen(n, i), fw_gen(n, i + 1)
+    """Post-compose generator images with the elementary action of X_i^±1.
+
+    The substituted letters are reduced once, by the FreeWord constructor.
+    """
     if positive:
-        sub_i = xi1
-        sub_i1 = FreeWord(n, (i + 1, i, -(i + 1)))
+        sub = {i: (i + 1,), i + 1: (i + 1, i, -(i + 1))}
     else:
-        sub_i = FreeWord(n, (-i, i + 1, i))
-        sub_i1 = xi
-    out = []
-    for img in images:
-        letters: list[int] = []
-        for letter in img.letters:
-            k = abs(letter)
-            if k == i:
-                seq = sub_i.letters
-            elif k == i + 1:
-                seq = sub_i1.letters
-            else:
-                seq = (k,)
-            if letter < 0:
-                seq = tuple(-x for x in reversed(seq))
-            for x in seq:
-                if letters and letters[-1] == -x:
-                    letters.pop()
-                else:
-                    letters.append(x)
-        out.append(FreeWord(n, tuple(letters)))
-    return out
+        sub = {i: (-i, i + 1, i), i + 1: (i,)}
+    for k in (i, i + 1):
+        sub[-k] = tuple(-x for x in reversed(sub[k]))
+    n = images[0].n
+    return [FreeWord(n, tuple([x for letter in img.letters for x in sub.get(letter, (letter,))]))
+            for img in images]
 
 
 def artin_images(w: BraidWord) -> list[FreeWord]:

@@ -97,16 +97,12 @@ def fw_apply(images: Sequence[FreeWord], w: FreeWord) -> FreeWord:
     m = images[0].n
     if any(img.n != m for img in images):
         raise ValueError("generator images must share one alphabet")
-    out: list[int] = []
-    for letter in w.letters:
-        img = images[abs(letter) - 1].letters
-        seq = img if letter > 0 else tuple(-x for x in reversed(img))
-        for x in seq:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-    return FreeWord(m, tuple(out))
+    subs: dict[int, tuple[int, ...]] = {}
+    for k, img in enumerate(images, start=1):
+        subs[k] = img.letters
+        subs[-k] = tuple(-x for x in reversed(img.letters))
+    # The constructor reduces the substituted letters once.
+    return FreeWord(m, tuple([x for letter in w.letters for x in subs[letter]]))
 
 
 def fw_identity_images(n: int) -> list[FreeWord]:

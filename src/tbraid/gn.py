@@ -26,6 +26,20 @@ the quadrangle relator acts trivially.  The table is read as the right action
 g |-> g_{X_i}; inverse actions are derived generically by inverting the
 abelianized matrix and fixing the central bits.
 
+In closed form the action of X_i^+-1 is affine on (bit, vec): with I_k, b_k
+the vector and bit of the image of generator k, the image of
+nu^bit . s_1^{v0} . u_1^{v1} ... has vector sum v_k I_k, which differs from
+vec only at coordinate i, replaced by a combination of coordinates i-1, i,
+i+1 (and 0 for X_2), and bit
+
+    bit + sum v_k b_k + sum C(v_k, 2) beta(I_k, I_k)
+        + sum over k < l of v_k v_l beta(I_k, I_l)   (mod 2),
+
+a quadratic form in which only terms with a moved generator (i-1, i, i+1,
+and 0 for X_2) are nonzero.  affine_action derives these O(1) terms once per
+letter from the generator images, which stay the single source of truth, and
+checks them against the generic product of powers (_apply_images) before use.
+
 Elements also serve as the pure-braid coordinates of the quotient's normal
 form: s_ij below is the image of the squared half-twist with endpoints
 {i, j}, and slot 0 of the vector is the degree coordinate.
@@ -36,7 +50,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .braid import BraidWord
 
@@ -239,7 +253,9 @@ def _invert_unimodular(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 def _apply_images(images: Sequence[GnElement], g: GnElement) -> GnElement:
     """Apply the endomorphism with the given generator images to g, using the
-    canonical decomposition of g."""
+    canonical decomposition of g: one power and one product per nonzero
+    coordinate.  This generic path fixes the bits of the inverse images and
+    checks each closed-form action."""
     out = GnElement(g.n, g.bit, (0,) * g.n)
     for k, e in enumerate(g.vec):
         if e:
@@ -266,21 +282,104 @@ def action_inverse_images(n: int, i: int) -> tuple[GnElement, ...]:
     return tuple(images)
 
 
-def act_generator(g: GnElement, i: int, sign: int) -> GnElement:
-    """The automorphism of G(n) attached to the braid letter X_i^sign."""
+# ---------------------------------------------------------------------------
+# the generator action in closed form
+
+
+class AffineAction(NamedTuple):
+    """The closed-form action of one letter X_i^sign (see the module
+    docstring) as a sparse map on (bit, vec).  Only the terms that can be
+    odd are stored: X_i moves the generators i-1, i, i+1 (and 0 for X_2), so
+    every list is O(1) long.
+
+    rows:     (j, ((k, c), ...)): the new vec[j] is the sum of c * vec[k];
+              every coordinate without a row is unchanged.
+    linear:   the k with b_k odd.
+    diagonal: the k with beta(I_k, I_k) odd.
+    cross:    the pairs k < l with beta(I_k, I_l) odd.
+    """
+
+    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    linear: tuple[int, ...]
+    diagonal: tuple[int, ...]
+    cross: tuple[tuple[int, int], ...]
+
+
+def apply_affine(action: AffineAction, bit: int, vec: list[int]) -> int:
+    """Apply the action to nu^bit . vec, rewriting vec in place; return the
+    new bit."""
+    for k in action.linear:
+        bit += vec[k]
+    for k in action.diagonal:
+        v = vec[k]
+        bit += v * (v - 1) >> 1
+    for k, l in action.cross:
+        bit += vec[k] * vec[l]
+    new = [sum(c * vec[k] for k, c in row) for _, row in action.rows]
+    for (j, _), x in zip(action.rows, new):
+        vec[j] = x
+    return bit & 1
+
+
+@lru_cache(maxsize=None)
+def affine_action(n: int, i: int, sign: int) -> AffineAction:
+    """The closed form of the X_i^sign action, read off the generator images
+    (action_images or action_inverse_images) and checked against
+    _apply_images on O(n) elements before it is returned."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +-1, got {sign}")
-    images = action_images(g.n, i) if sign > 0 else action_inverse_images(g.n, i)
-    return _apply_images(images, g)
+    images = action_images(n, i) if sign > 0 else action_inverse_images(n, i)
+    units = [gn_generator(n, k) for k in range(n)]
+    moved = [k for k in range(n) if images[k] != units[k]]
+    vecs = [img.vec for img in images]
+    # Unmoved generators have b_k = 0 and beta(e_k, e_l) = 0 for k <= l.
+    action = AffineAction(
+        rows=tuple((j, tuple((k, vecs[k][j]) for k in sorted({j, *moved}) if vecs[k][j]))
+                   for j in range(n) if any(vecs[k][j] != units[k].vec[j] for k in moved)),
+        linear=tuple(k for k in moved if images[k].bit),
+        diagonal=tuple(k for k in moved if beta(vecs[k], vecs[k], n)),
+        cross=tuple((k, l) for k in range(n) for l in range(k + 1, n)
+                    if (k in moved or l in moved) and beta(vecs[k], vecs[l], n)),
+    )
+    checks = units + [gn_pow(units[k], 2) for k in moved]
+    checks += [gn_mul(units[k], units[l]) for k, l in action.cross]
+    for g in checks:
+        vec = list(g.vec)
+        bit = apply_affine(action, g.bit, vec)
+        if GnElement(n, bit, tuple(vec)) != _apply_images(images, g):
+            raise AssertionError(
+                f"closed-form action of X_{i}^{sign} on G({n}) disagrees at {format_element(g)}")
+    return action
+
+
+def act_generator(g: GnElement, i: int, sign: int) -> GnElement:
+    """The automorphism of G(n) attached to the braid letter X_i^sign.
+
+    It replaces coordinate i of the vector by a linear combination of
+    coordinates i-1, i, i+1 (and 0 for X_2), and adds to the bit a mod-2
+    quadratic form in those coordinates; see AffineAction.
+
+    >>> act_generator(GnElement(4, 0, (1, 0, 0, 0)), 2, 1)
+    GnElement(n=4, bit=1, vec=(1, 0, 1, 0))
+    >>> act_generator(GnElement(4, 0, (0, 1, 0, 0)), 1, 1)
+    GnElement(n=4, bit=1, vec=(0, -1, 0, 0))
+    >>> act_generator(GnElement(4, 0, (1, 0, 0, 0)), 3, 1)
+    GnElement(n=4, bit=0, vec=(1, 0, 0, 0))
+    """
+    vec = list(g.vec)
+    bit = apply_affine(affine_action(g.n, i, sign), g.bit, vec)
+    return GnElement(g.n, bit, tuple(vec))
 
 
 def act_word(g: GnElement, w: BraidWord) -> GnElement:
     """Right action of a braid word, folded letter by letter."""
     if g.n != w.n:
         raise ValueError(f"mismatched sizes {g.n} and {w.n}")
+    vec = list(g.vec)
+    bit = g.bit
     for letter in w.letters:
-        g = act_generator(g, abs(letter), 1 if letter > 0 else -1)
-    return g
+        bit = apply_affine(affine_action(g.n, abs(letter), 1 if letter > 0 else -1), bit, vec)
+    return GnElement(g.n, bit, tuple(vec))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,14 @@ generator action on g), and whenever the letter folds into the section
 (a positive letter at a descent, or an inverse letter at an ascent) the
 squared-generator coordinate s_{i,i+1}^{+-1} is absorbed into g on the left.
 
+The scan state is flat: the one-line permutation with its inverse, and g as
+a mutable bit plus a list of coordinates.  Each letter applies the sparse
+closed-form action of gn.affine_action in place and, when it folds, adds the
+sparse left factor s_{i,i+1}^{+-1} (its bit, the coordinates its cocycle
+reads, and its nonzero entries); both are derived once per letter and cached,
+so the cost per letter does not grow with n.  One GnElement is built at the
+end.
+
 Completeness of the invariant rests on the coordinate map being an
 isomorphism from the pure part of TB_n onto G(n); the verification suites
 exercise the load-bearing consequences (homomorphism and equivariance of
@@ -46,10 +54,11 @@ from .braid import (
 )
 from .gn import (
     GnElement,
-    act_generator,
+    affine_action,
+    apply_affine,
+    beta,
     gn_identity,
     gn_inv,
-    gn_mul,
     s_ij,
 )
 
@@ -95,6 +104,19 @@ def c_word(n: int) -> BraidWord:
     return BraidWord(n, (1, 1, 2, 2, -1, -1, -2, -2))
 
 
+@lru_cache(maxsize=None)
+def _scan_step(n: int, letter: int) -> tuple:
+    """What the scan does for the letter X_i^sign: the closed-form action of
+    the letter and the sparse left factor f = s_{i,i+1}^sign it may fold in,
+    as (bit of f, the b with beta(f, e_b) odd, nonzero coordinates of f)."""
+    i, sign = abs(letter), (1 if letter > 0 else -1)
+    s = s2_table(n)[i - 1]
+    f = s if sign > 0 else gn_inv(s)
+    odd = tuple(b for b in range(n) if beta(f.vec, [int(k == b) for k in range(n)], n))
+    fold = (f.bit, odd, tuple((k, x) for k, x in enumerate(f.vec) if x))
+    return affine_action(n, i, sign), fold
+
+
 def normal_form(w: BraidWord) -> TbnNormalForm:
     """Scan w once, maintaining (perm, g) with the loop invariant above.
 
@@ -104,25 +126,25 @@ def normal_form(w: BraidWord) -> TbnNormalForm:
     """
     n = w.n
     _require_quotient_n(n)
-    table = s2_table(n)
+    steps = {letter: _scan_step(n, letter) for letter in set(w.letters)}
     a = list(range(1, n + 1))      # one-line images of the running permutation
     pos = list(range(n + 1))       # pos[v] = 1-based position of value v
-    g = gn_identity(n)
+    bit, vec = 0, [0] * n          # g = nu^bit . s_1^vec[0] . u_1^vec[1] ...
     for letter in w.letters:
         i = abs(letter)
-        sign = 1 if letter > 0 else -1
-        g = act_generator(g, i, sign)
+        action, (fold_bit, fold_beta, fold_vec) = steps[letter]
+        bit = apply_affine(action, bit, vec)
         ascending = pos[i] < pos[i + 1]
         pi, pj = pos[i], pos[i + 1]
         a[pi - 1], a[pj - 1] = a[pj - 1], a[pi - 1]
         pos[i], pos[i + 1] = pj, pi
         # A letter that does not extend the positive section leaves a squared
         # generator behind; absorb its coordinate into the pure part.
-        if sign > 0 and not ascending:
-            g = gn_mul(table[i - 1], g)
-        elif sign < 0 and ascending:
-            g = gn_mul(gn_inv(table[i - 1]), g)
-    return TbnNormalForm(Perm(n, tuple(a)), g)
+        if (letter > 0) != ascending:
+            bit += fold_bit + sum([vec[b] for b in fold_beta])
+            for k, x in fold_vec:
+                vec[k] += x
+    return TbnNormalForm(Perm(n, tuple(a)), GnElement(n, bit & 1, tuple(vec)))
 
 
 def tbn_equal(w1: BraidWord, w2: BraidWord) -> bool:

@@ -169,6 +169,8 @@ def test_act_generator_examples():
         act_generator(gn_s1(n), 4, 1)
     with pytest.raises(ValueError):
         act_generator(gn_s1(n), 1, 2)
+    with pytest.raises(ValueError):
+        act_generator(gn_s1(n), 0, -1)
 
 
 def test_act_word_examples():
@@ -177,6 +179,8 @@ def test_act_word_examples():
     assert act_word(g, BraidWord(n, ())) == g
     assert act_word(gn_u(n, 1), BraidWord(n, (1, 1))) == gn_u(n, 1)
     assert act_word(gn_u(n, 2), BraidWord(n, (1, 1))) == GnElement(n, 1, (0, 0, 1, 0))
+    with pytest.raises(ValueError):
+        act_word(g, BraidWord(n + 1, (1,)))
 
 
 def test_action_is_invertible():
