@@ -11,6 +11,7 @@ from .braid import (
     Perm,
     artin_images,
     bn_equal,
+    bn_normal_form,
     classify_pair,
     exponent_sum,
     frame,

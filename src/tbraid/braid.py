@@ -1,5 +1,6 @@
 """
-Braid words, the symmetric-group projection, the Artin action, half-twists.
+Braid words, the symmetric-group projection, the Garside normal form, the
+Artin action, half-twists.
 
 Conventions, used consistently across the package:
 
@@ -10,7 +11,10 @@ Conventions, used consistently across the package:
   1 <= i <= n-1.  The letter +i is the frame generator X_i, the positive
   half-twist exchanging punctures i and i+1; -i is its inverse.  Words are
   kept verbatim (no reduction): equality in B_n is a semantic question and is
-  answered by bn_equal through the Artin action, which is faithful.
+  answered by bn_equal through the Garside left normal form, which is unique
+  to each element and polynomial in word length.  The Artin action below is
+  faithful as well, but its images grow exponentially with word length; it
+  stays as the executable witness of these conventions.
 - Permutations are stored in one-line notation, the tuple ((1)p, ..., (n)p),
   and compose as right actions, matching psi.
 - The Artin action of X_i on the free group F_n sends
@@ -112,7 +116,7 @@ def concat(*words: BraidWord) -> BraidWord:
 
 
 def inv_word(w: BraidWord) -> BraidWord:
-    return BraidWord(w.n, tuple(-letter for letter in reversed(w.letters)))
+    return BraidWord(w.n, tuple([-letter for letter in reversed(w.letters)]))
 
 
 def conj_word(w: BraidWord, b: BraidWord) -> BraidWord:
@@ -231,11 +235,86 @@ def artin_apply(w: BraidWord, fw: FreeWord) -> FreeWord:
     return images[0]
 
 
+# ---------------------------------------------------------------------------
+# the Garside normal form
+
+
+def _left_weight(a: list[int], b: list[int]) -> bool:
+    """Make the pair of simple factors (a, b) left-weighted in place: while
+    some X_{g+1} starts b but does not finish a, move it from b into a.
+    Factors are 0-based one-line permutations; returns whether any moved."""
+    last = len(a) - 1
+    pos = [0] * len(a)
+    for x, v in enumerate(a):
+        pos[v] = x
+    moved = False
+    g = 0
+    while g < last:
+        if b[g] > b[g + 1] and pos[g] < pos[g + 1]:
+            a[pos[g]], a[pos[g + 1]] = g + 1, g
+            pos[g], pos[g + 1] = pos[g + 1], pos[g]
+            b[g], b[g + 1] = b[g + 1], b[g]
+            moved = True
+            if g:
+                g -= 1
+        else:
+            g += 1
+    return moved
+
+
+def bn_normal_form(w: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The left-greedy (Garside) normal form Delta^k A_1 ... A_r of w in B_n.
+
+    Delta is the positive half twist of all n strands, with permutation
+    (n, ..., 1).  Each A_j is a simple element (a positive braid in which two
+    strands cross at most once), stored as its permutation psi(A_j); no A_j
+    is 1 or Delta, and each pair is left-weighted: every generator that
+    starts A_{j+1} finishes A_j.  The form is unique to the element.
+
+    Each X_i^-1 is written Delta^-1 (Delta X_i^-1), a simple second factor;
+    moving a Delta^-1 to the front conjugates every factor before it by
+    Delta, which exchanges X_i and X_{n-i}.  The positive factors are then
+    appended one at a time and left-weighted backwards, stopping at the
+    first pair that does not change.
+
+    >>> bn_normal_form(BraidWord(3, (1, 2, 1)))
+    (1, ())
+    >>> bn_normal_form(BraidWord(3, (-1, 2)))
+    (-1, ((3, 1, 2), (1, 3, 2)))
+    """
+    n = w.n
+    identity = list(range(n))
+    delta = identity[::-1]
+    k = negatives = sum(1 for letter in w.letters if letter < 0)
+    factors: list[list[int]] = []
+    for letter in w.letters:
+        negatives -= letter < 0
+        g = abs(letter) - 1 if negatives % 2 == 0 else n - 1 - abs(letter)
+        factor = (identity if letter > 0 else delta).copy()
+        x, y = factor.index(g), factor.index(g + 1)
+        factor[x], factor[y] = g + 1, g
+        factors.append(factor)
+        j = len(factors) - 1
+        while j and _left_weight(factors[j - 1], factors[j]):
+            j -= 1
+        while factors and factors[-1] == identity:
+            factors.pop()
+    lead = 0
+    while lead < len(factors) and factors[lead] == delta:
+        lead += 1
+    # tuple() of a list, not of a generator: a generator's tuple is resized
+    # after the fact, which strands freed tuples on CPython's per-size free
+    # lists and grows the process by megabytes over many calls.
+    return lead - k, tuple([tuple([v + 1 for v in f]) for f in factors[lead:]])
+
+
 def bn_equal(w1: BraidWord, w2: BraidWord) -> bool:
-    """Exact equality in B_n, via faithfulness of the Artin action."""
+    """Exact equality in B_n: the Garside normal forms agree.  The Artin
+    action is faithful too, but its images grow exponentially with word
+    length; it stays as the witness of the package's conventions."""
     if w1.n != w2.n:
         raise ValueError(f"mismatched strand counts {w1.n} and {w2.n}")
-    return artin_images(w1) == artin_images(w2)
+    return bn_normal_form(w1) == bn_normal_form(w2)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ of a pair with Q = 1 contributes nu, giving the 2-cocycle
 The group carries an action of the braid quotient: the generator action
 tables below define automorphisms satisfying the braid relations, under which
 the quadrangle relator acts trivially.  The table is read as the right action
-g |-> g_{X_i}; inverse actions are derived generically by inverting the
-abelianized matrix and fixing the central bits.
+g |-> g_{X_i}; the abelianized action of each X_i is an involution, so the
+inverse action reuses the forward vectors and fixes their central bits.
 
 In closed form the action of X_i^+-1 is affine on (bit, vec): with I_k, b_k
 the vector and bit of the image of generator k, the image of
@@ -48,7 +48,6 @@ form: s_ij below is the image of the squared half-twist with endpoints
 from __future__ import annotations
 
 import dataclasses
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -231,26 +230,6 @@ def action_images(n: int, i: int) -> tuple[GnElement, ...]:
     return tuple(images)
 
 
-def _invert_unimodular(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Exact inverse of an integer matrix with determinant +-1."""
-    m = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)]
-         for i, row in enumerate(rows)]
-    for col in range(m):
-        pivot = next(r for r in range(col, m) if a[r][col] != 0)
-        a[col], a[pivot] = a[pivot], a[col]
-        p = a[col][col]
-        a[col] = [x / p for x in a[col]]
-        for r in range(m):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    inv = [[a[i][m + j] for j in range(m)] for i in range(m)]
-    if any(x.denominator != 1 for row in inv for x in row):
-        raise AssertionError("matrix not unimodular")
-    return [[int(x) for x in row] for row in inv]
-
-
 def _apply_images(images: Sequence[GnElement], g: GnElement) -> GnElement:
     """Apply the endomorphism with the given generator images to g, using the
     canonical decomposition of g: one power and one product per nonzero
@@ -266,15 +245,13 @@ def _apply_images(images: Sequence[GnElement], g: GnElement) -> GnElement:
 @lru_cache(maxsize=None)
 def action_inverse_images(n: int, i: int) -> tuple[GnElement, ...]:
     """Images of the canonical generators under the inverse of the X_i
-    action, computed generically: invert the abelianized (unimodular) matrix
-    for the vectors, then fix each central bit by composing with the forward
-    map."""
+    action.  The abelianized X_i action is an involution, so each forward
+    vector is the candidate inverse vector; composing it with the forward
+    map proves it and fixes its central bit."""
     fwd = action_images(n, i)
-    matrix = [list(img.vec) for img in fwd]
-    inv_matrix = _invert_unimodular(matrix)
     images = []
     for k in range(n):
-        candidate = GnElement(n, 0, tuple(inv_matrix[k]))
+        candidate = GnElement(n, 0, fwd[k].vec)
         round_trip = _apply_images(fwd, candidate)
         if round_trip.vec != gn_generator(n, k).vec:
             raise AssertionError("bad abelian inverse")

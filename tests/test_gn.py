@@ -20,6 +20,7 @@ from tbraid.gn import (
     GnElement,
     act_generator,
     act_word,
+    action_images,
     beta,
     embed,
     format_element,
@@ -243,8 +244,21 @@ def test_guards_raise_under_python_O():
     # python -O strips assert statements; a guard that protects a result must
     # still raise there.
     src = str(Path(tbraid.__file__).resolve().parents[1])
-    code = "from tbraid.gn import _invert_unimodular; _invert_unimodular([[2]])"
+    # A forward map whose abelianization is not an involution: the round trip
+    # through it must refuse the forward rows as inverse rows.
+    code = ("from tbraid import gn\n"
+            "gn.action_images = lambda n, i: tuple(gn.GnElement(3, 0, v) for v in\n"
+            "    ((1, 1, 0), (0, 1, 0), (0, 0, 1)))\n"
+            "gn.action_inverse_images(3, 1)\n")
     result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode != 0
-    assert "AssertionError: matrix not unimodular" in result.stderr
+    assert "AssertionError: bad abelian inverse" in result.stderr
+
+
+@pytest.mark.parametrize("n", range(3, 25))
+def test_abelianized_action_is_an_involution(n):
+    for i in range(1, n):
+        m = [img.vec for img in action_images(n, i)]
+        square = [[sum(m[r][k] * m[k][c] for k in range(n)) for c in range(n)] for r in range(n)]
+        assert square == [[int(r == c) for c in range(n)] for r in range(n)]

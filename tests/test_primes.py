@@ -100,6 +100,13 @@ def test_transport_examples():
     assert transport(G, upair, frame(5, 2)) == gn_u(5, 2)
 
 
+def test_transport_guard_refuses_a_conjugator_missing_the_target(monkeypatch):
+    G = GnInstance(5)
+    monkeypatch.setattr("tbraid.primes.frame_transport", lambda n, i, j: BraidWord(n, ()))
+    with pytest.raises(AssertionError, match="transport conjugator failed to move the support"):
+        transport(G, canonical_prime(5), frame(5, 3))
+
+
 def test_transport_uniqueness():
     for n in (5, 6):
         assert transport_uniqueness(GnInstance(n), canonical_prime(n),
