@@ -77,24 +77,6 @@ class Perm:
         return all(self.images[k] == k + 1 for k in range(self.n))
 
 
-def perm_identity(n: int) -> Perm:
-    return Perm(n, tuple(range(1, n + 1)))
-
-
-def perm_mul(p: Perm, q: Perm) -> Perm:
-    """Right-action composition: (x)(pq) = ((x)p)q."""
-    if p.n != q.n:
-        raise ValueError(f"mismatched sizes {p.n} and {q.n}")
-    return Perm(p.n, tuple(q.images[v - 1] for v in p.images))
-
-
-def perm_inv(p: Perm) -> Perm:
-    images = [0] * p.n
-    for x, v in enumerate(p.images, start=1):
-        images[v - 1] = x
-    return Perm(p.n, tuple(images))
-
-
 def inversions(p: Perm) -> int:
     """Coxeter length of p: the number of out-of-order pairs in one line."""
     a = p.images

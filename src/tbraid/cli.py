@@ -23,12 +23,13 @@ import sys
 from .braid import (
     BraidWord,
     HalfTwist,
+    bn_equal,
     classify_pair,
     format_word,
     linking_matrix,
     parse_word,
 )
-from .gn import act_word, format_element, gn_nu, parse_element, s_ij
+from .gn import act_word, action_images, format_element, gn_nu, parse_element, s_ij
 from .primes import GnInstance, check_prime_frame, check_prop71
 from .quotient import in_kernel, lift, normal_form, tbn_equal
 from .verify import SUITES, run_suites
@@ -84,8 +85,6 @@ def _cmd_eq(args) -> int:
     w1 = _read_word(args, args.word1)
     w2 = _read_word(args, args.word2)
     if args.group == "bn":
-        from .braid import bn_equal
-
         equal = bn_equal(w1, w2)
     else:
         equal = tbn_equal(w1, w2)
@@ -191,8 +190,6 @@ def _cmd_dump_tables(args) -> int:
     n = args.n
     sij = {f"s_{i}{j}": format_element(s_ij(n, i, j))
            for i in range(1, n) for j in range(i + 1, n + 1)}
-    from .gn import action_images
-
     actions = {
         f"X_{i}": {f"g{k}": format_element(img)
                    for k, img in enumerate(action_images(n, i))}

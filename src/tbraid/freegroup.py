@@ -57,15 +57,6 @@ class FreeWord:
         return len(self.letters)
 
 
-def fw_identity(n: int) -> FreeWord:
-    return FreeWord(n, ())
-
-
-def fw_gen(n: int, k: int) -> FreeWord:
-    """The k-th generator x_k (or its inverse for k < 0) as a word."""
-    return FreeWord(n, (k,))
-
-
 def fw_mul(a: FreeWord, b: FreeWord) -> FreeWord:
     """Product in the free group (concatenate, then reduce)."""
     if a.n != b.n:
@@ -78,7 +69,7 @@ def fw_inv(a: FreeWord) -> FreeWord:
 
     The inverse of a reduced word is reduced, so this never re-reduces.
     """
-    return FreeWord(a.n, tuple(-letter for letter in reversed(a.letters)))
+    return FreeWord(a.n, tuple([-letter for letter in reversed(a.letters)]))
 
 
 def fw_apply(images: Sequence[FreeWord], w: FreeWord) -> FreeWord:
@@ -107,4 +98,4 @@ def fw_apply(images: Sequence[FreeWord], w: FreeWord) -> FreeWord:
 
 def fw_identity_images(n: int) -> list[FreeWord]:
     """Generator images of the identity endomorphism of F_n."""
-    return [fw_gen(n, k) for k in range(1, n + 1)]
+    return [FreeWord(n, (k,)) for k in range(1, n + 1)]

@@ -131,17 +131,17 @@ def gn_mul(a: GnElement, b: GnElement) -> GnElement:
     if a.n != b.n:
         raise ValueError(f"mismatched sizes {a.n} and {b.n}")
     bit = (a.bit + b.bit + beta(a.vec, b.vec, a.n)) % 2
-    return GnElement(a.n, bit, tuple(x + y for x, y in zip(a.vec, b.vec)))
+    return GnElement(a.n, bit, tuple([x + y for x, y in zip(a.vec, b.vec)]))
 
 
 def gn_inv(a: GnElement) -> GnElement:
     bit = (a.bit + beta(a.vec, a.vec, a.n)) % 2
-    return GnElement(a.n, bit, tuple(-x for x in a.vec))
+    return GnElement(a.n, bit, tuple([-x for x in a.vec]))
 
 
 def gn_pow(g: GnElement, m: int) -> GnElement:
     bit = (m * g.bit + (m * (m - 1) // 2) * beta(g.vec, g.vec, g.n)) % 2
-    return GnElement(g.n, bit, tuple(m * x for x in g.vec))
+    return GnElement(g.n, bit, tuple([m * x for x in g.vec]))
 
 
 def gn_commutator(a: GnElement, b: GnElement) -> GnElement:

@@ -54,7 +54,7 @@ from .braid import (
     random_word,
 )
 from .gn import (GnElement, act_generator, gn_generator, gn_identity, gn_inv, gn_mul, gn_nu,
-                 gn_pow, gn_product)
+                 gn_pow, gn_product, q_value)
 from .quotient import c_word, normal_form, tbn_equal
 
 
@@ -155,10 +155,22 @@ class PrimeReport:
         }
 
 
-def _finish_report(conditions: dict[str, bool], order: Sequence[str],
-                   bound: int | None, seed: int, witness: dict) -> PrimeReport:
-    for name in order:
-        if not conditions[name]:
+class Checks(dict[str, bool]):
+    """An ordered record of named checks, filled by calling it:
+    checks(name, passed) folds passed into the entry for name, which stays
+    True only while everything folded into it passed.  A name keeps the
+    place of its first call, so a check whose loop may run zero times is
+    registered first with checks(name, True)."""
+
+    def __call__(self, name: str, passed: bool) -> None:
+        self[name] = self.get(name, True) and passed
+
+
+def _finish_report(conditions: dict[str, bool], bound: int | None, seed: int,
+                   witness: dict) -> PrimeReport:
+    """The report whose verdict names the first failing condition, if any."""
+    for name, passed in conditions.items():
+        if not passed:
             return PrimeReport(f"fail({name})", conditions, bound, seed, witness or None)
     verdict = "pass" if bound is None else f"pass-up-to-bound({bound})"
     return PrimeReport(verdict, conditions, bound, seed, witness or None)
@@ -231,7 +243,7 @@ def check_prime_frame(G, u, tau, centrality_sample: Sequence | None = None,
 
     cond2a, cond2b, cond3 = _frame_identities(G, u)
     conditions = {"1": cond1, "2a": cond2a, "2b": cond2b, "3": cond3}
-    return _finish_report(conditions, ["1", "2a", "2b", "3"], None, seed, witness)
+    return _finish_report(conditions, None, seed, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +295,7 @@ def check_prop71(G, S, generators: Sequence | None = None, bound: int = 3,
 
     conditions = {"0": cond0, "1a": cond1a, "1b": cond1b,
                   "2a": cond2a, "2b": cond2b, "3": cond3, "4": cond4}
-    return _finish_report(conditions, ["0", "1a", "1b", "2a", "2b", "3", "4"],
-                          bound, seed, witness)
+    return _finish_report(conditions, bound, seed, witness)
 
 
 def _bounded_orbit(G, S, bound: int) -> list:
@@ -375,8 +386,6 @@ def _solve_integer_combination(rows: list[list[int]], target: Sequence[int]) -> 
 
 def _nu_reachable(gens: list[GnElement]) -> bool:
     """Whether nu lies in the subgroup generated by gens."""
-    from .gn import q_value
-
     n = gens[0].n
     for a, b in itertools.combinations(gens, 2):
         if q_value(a.vec, b.vec, n):
@@ -503,7 +512,7 @@ def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist],
         else:
             witness["checked"]["skipped"] += 1
     conditions = {"1": cond1, "2": cond2, "3": cond3}
-    return _finish_report(conditions, ["1", "2", "3"], None, seed, witness)
+    return _finish_report(conditions, None, seed, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +567,7 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     n = G.n
     h, X, tau = pair.h, pair.ht, pair.tau
     x_word = ht_word(X)
-    conditions: dict[str, bool] = {}
-    witness: dict = {}
+    checks = Checks()
 
     def act(g, w: BraidWord):
         return act_by_word(G, g, w)
@@ -567,10 +575,8 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     h_x = act(h, x_word)
     h_xinv = act(h, inv_word(x_word))
     target = G.mul(G.inv(h), tau)
-    conditions["support-involution"] = (
-        G.eq(h_x, target) and G.eq(h_xinv, target)
-        and G.eq(act(h, concat(x_word, x_word)), h)
-    )
+    checks("support-involution", G.eq(h_x, target) and G.eq(h_xinv, target)
+           and G.eq(act(h, concat(x_word, x_word)), h))
 
     # Consecutive neighbours of the support: conjugates of the frame pair.
     neighbours = []
@@ -578,18 +584,17 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
         neighbours.append(HalfTwist(X.conj, X.index + 1))
     if X.index - 1 >= 1:
         neighbours.append(HalfTwist(X.conj, X.index - 1))
-    ok_sq = ok_comm = True
     for Y in neighbours:
         y_inv = inv_word(ht_word(Y))
-        ok_sq = ok_sq and G.eq(act(h, concat(y_inv, y_inv)), G.mul(h, tau))
+        checks("neighbour-inverse-square", G.eq(act(h, concat(y_inv, y_inv)), G.mul(h, tau)))
         h_y = act(h, y_inv)
         comm = G.mul(G.mul(h, h_y), G.mul(G.inv(h), G.inv(h_y)))
-        ok_comm = ok_comm and G.eq(comm, tau)
-    conditions["neighbour-inverse-square"] = ok_sq
-    conditions["neighbour-commutator"] = ok_comm
+        checks("neighbour-commutator", G.eq(comm, tau))
 
     # Orderly / non-orderly adjacent transports.
-    ok1 = ok2 = ok3 = True
+    checks("transport-support-inverse", True)
+    checks("transport-orderly-adjacent", True)
+    checks("transport-reversed-adjacent", True)
     for _ in range(cases):
         j = rng.randint(1, n - 2)
         b = random_word(n, 6, rng)
@@ -601,15 +606,14 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
         lYp = transport(G, pair, Yp)
         t_inv = inv_word(ht_word(T))
         y_inv = inv_word(ht_word(Y))
-        ok1 = ok1 and G.eq(act(lT, t_inv), G.mul(G.inv(lT), tau))
-        ok2 = ok2 and G.eq(act(lT, y_inv), G.mul(lT, lY))
-        ok3 = ok3 and G.eq(act(lT, y_inv), G.mul(G.inv(lYp), lT))
-    conditions["transport-support-inverse"] = ok1
-    conditions["transport-orderly-adjacent"] = ok2
-    conditions["transport-reversed-adjacent"] = ok3
+        checks("transport-support-inverse", G.eq(act(lT, t_inv), G.mul(G.inv(lT), tau)))
+        checks("transport-orderly-adjacent", G.eq(act(lT, y_inv), G.mul(lT, lY)))
+        checks("transport-reversed-adjacent", G.eq(act(lT, y_inv), G.mul(G.inv(lYp), lT)))
 
     # Commutator dichotomy over coherent pairs.
-    ok_adj = ok_disj = ok_trans = True
+    checks("dichotomy-adjacent", True)
+    checks("dichotomy-disjoint", True)
+    checks("dichotomy-transversal", True)
     for _ in range(cases):
         b = random_word(n, 6, rng)
         configs = [
@@ -621,51 +625,31 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
             g1 = transport(G, pair, t1)
             g2 = transport(G, pair, t2)
             comm = G.mul(G.mul(g1, g2), G.mul(G.inv(g1), G.inv(g2)))
-            if kind == "adjacent":
-                ok_adj = ok_adj and G.eq(comm, tau)
-            elif kind == "disjoint":
-                ok_disj = ok_disj and G.eq(comm, G.identity())
-            else:
-                ok_trans = ok_trans and G.eq(comm, G.identity())
-    conditions["dichotomy-adjacent"] = ok_adj
-    conditions["dichotomy-disjoint"] = ok_disj
-    conditions["dichotomy-transversal"] = ok_trans
+            checks(f"dichotomy-{kind}", G.eq(comm, tau if kind == "adjacent" else G.identity()))
 
-    # The transported frame family.
+    # The transported frame family; the end indices have no step down or up.
     xi = {i: transport(G, pair, frame(n, i)) for i in range(1, n)}
-    ok_self = ok_down = ok_up = ok_far = ok_cc = True
     for i in range(1, n):
-        ok_self = ok_self and G.eq(act(xi[i], BraidWord(n, (-i,))),
-                                   G.mul(G.inv(xi[i]), tau))
-        if i - 1 >= 1:
-            ok_down = ok_down and G.eq(act(xi[i], BraidWord(n, (-(i - 1),))),
-                                       G.mul(xi[i], xi[i - 1]))
-        if i + 1 <= n - 1:
-            ok_up = ok_up and G.eq(act(xi[i], BraidWord(n, (-(i + 1),))),
-                                   G.mul(xi[i], xi[i + 1]))
-        for j in range(1, n):
-            if abs(j - i) >= 2:
-                ok_far = ok_far and G.eq(act(xi[i], BraidWord(n, (j,))), xi[i])
-        for j in range(i + 1, n):
-            comm = G.mul(G.mul(xi[i], xi[j]), G.mul(G.inv(xi[i]), G.inv(xi[j])))
-            expected = tau if j == i + 1 else G.identity()
-            ok_cc = ok_cc and G.eq(comm, expected)
-    conditions["frame-family-support"] = ok_self
-    conditions["frame-family-step-down"] = ok_down
-    conditions["frame-family-step-up"] = ok_up
-    conditions["frame-family-far"] = ok_far
-    conditions["frame-family-commutators"] = ok_cc
+        checks("frame-family-support", G.eq(act(xi[i], BraidWord(n, (-i,))),
+                                            G.mul(G.inv(xi[i]), tau)))
+        checks("frame-family-step-down", i == 1 or G.eq(
+            act(xi[i], BraidWord(n, (-(i - 1),))), G.mul(xi[i], xi[i - 1])))
+        checks("frame-family-step-up", i == n - 1 or G.eq(
+            act(xi[i], BraidWord(n, (-(i + 1),))), G.mul(xi[i], xi[i + 1])))
+        checks("frame-family-far", all(G.eq(act(xi[i], BraidWord(n, (j,))), xi[i])
+                                       for j in range(1, n) if abs(j - i) >= 2))
+        checks("frame-family-commutators", all(
+            G.eq(G.mul(G.mul(xi[i], xi[j]), G.mul(G.inv(xi[i]), G.inv(xi[j]))),
+                 tau if j == i + 1 else G.identity())
+            for j in range(i + 1, n)))
 
     # Invariance under the polarized centralizer of the support (checked on
     # generators conjugated through the pair's own conjugator).
-    ok_cp = True
-    for w in _cp_generator_words(n, X.index):
-        moved = act(h, conj_word(w, X.conj))
-        ok_cp = ok_cp and G.eq(moved, h)
-    conditions["centralizer-invariance"] = ok_cp
+    checks("centralizer-invariance", all(G.eq(act(h, conj_word(w, X.conj)), h)
+                                         for w in _cp_generator_words(n, X.index)))
 
     # Simultaneous conjugation of h and its reversed partner.
-    ok_sim = True
+    checks("simultaneous-conjugation", True)
     partner = G.mul(G.inv(h), tau)
     for _ in range(min(cases, 10)):
         j = rng.randint(1, n - 1)
@@ -675,11 +659,9 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
         base = _transport_conjugator(X, tgt)
         g1 = act(h, concat(conj_word(c1, X.conj), base))
         g2 = act(partner, concat(conj_word(c2, X.conj), base))
-        ok_sim = ok_sim and G.eq(act(h, base), g1) and G.eq(act(partner, base), g2)
-    conditions["simultaneous-conjugation"] = ok_sim
+        checks("simultaneous-conjugation", G.eq(act(h, base), g1) and G.eq(act(partner, base), g2))
 
-    order = list(conditions)
-    return _finish_report(conditions, order, None, seed, witness)
+    return _finish_report(checks, None, seed, {})
 
 
 def transport_uniqueness(G, pair: PolarizedPair, targets: int = 20,

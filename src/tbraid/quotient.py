@@ -38,7 +38,6 @@ Lambda, section independence, kernel detection) rather than assuming them.
 from __future__ import annotations
 
 import dataclasses
-import random
 from functools import lru_cache
 
 from .braid import (
@@ -212,11 +211,3 @@ def degree_decomposition(w: BraidWord) -> tuple[int, int, tuple[int, ...], int]:
     """
     nf = normal_form(w)
     return (inversions(psi(w)), nf.g.vec[0], nf.g.vec[1:], nf.g.bit)
-
-
-def rescan_through_section(nf: TbnNormalForm, rng: random.Random) -> TbnNormalForm:
-    """Rebuild a representative word through a randomized reduced word for
-    the section and rescan it.  Section independence says this must return
-    nf itself, whatever reduced-word convention the randomization picks."""
-    section = tits_lift(nf.perm, rng)
-    return normal_form(concat(section, lift(nf.g)))

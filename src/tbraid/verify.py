@@ -8,10 +8,20 @@ command and the acceptance tests; they are the executable evidence for the
 structural facts the package relies on (faithful action conventions,
 section well-definedness, the coordinate map being a homomorphism, kernel
 detection, the prime-element machinery).
+
+Every check is recorded through one primes.Checks recorder: checks(name,
+passed) once per case, so a name fails as soon as one of its cases fails,
+and keeps the place of its first call.  A check whose loop may run zero
+times (a loop over `cases`) is registered as passing before the loop, so
+the names and their order do not depend on `cases`.  Every case is
+evaluated, also after its check has failed, so the cases drawn from the
+seeded generator never depend on which checks pass, even where a check's
+expression itself draws from it (section-independence).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import Callable, Sequence
 
@@ -59,6 +69,7 @@ from .gn import (
     s_ij,
 )
 from .primes import (
+    Checks,
     GnInstance,
     PolarizedPair,
     axiom_spot_check,
@@ -74,7 +85,6 @@ from .quotient import (
     in_kernel,
     lift,
     normal_form,
-    rescan_through_section,
     s2_table,
     tbn_equal,
 )
@@ -108,65 +118,57 @@ def _random_order_reduce(letters: Sequence[int], rng: random.Random) -> tuple[in
 
 def artin_suite(cases: int = 200, seed: int = 0) -> dict[str, bool]:
     rng = random.Random(seed)
-    checks: dict[str, bool] = {}
+    checks = Checks()
 
-    ok = True
     for n in range(3, 9):
         for i in range(1, n - 1):
-            ok = ok and bn_equal(BraidWord(n, (i, i + 1, i)), BraidWord(n, (i + 1, i, i + 1)))
+            checks("braid-relations", bn_equal(BraidWord(n, (i, i + 1, i)),
+                                               BraidWord(n, (i + 1, i, i + 1))))
         for i in range(1, n):
             for j in range(i + 2, n):
-                ok = ok and bn_equal(BraidWord(n, (i, j)), BraidWord(n, (j, i)))
-    checks["braid-relations"] = ok
+                checks("braid-relations", bn_equal(BraidWord(n, (i, j)), BraidWord(n, (j, i))))
 
-    checks["inverse-pairs"] = all(
+    checks("inverse-pairs", all(
         bn_equal(BraidWord(n, (i, -i)), BraidWord(n, ()))
         for n in range(2, 9) for i in range(1, n)
-    )
+    ))
 
-    ok = True
+    checks("descending-invariant", True)
     for _ in range(cases):
         n = rng.randint(2, 6)
         w = random_word(n, 50, rng)
         descending = FreeWord(n, tuple(range(n, 0, -1)))
-        ok = ok and braid.artin_apply(w, descending) == descending
-    checks["descending-invariant"] = ok
+        checks("descending-invariant", braid.artin_apply(w, descending) == descending)
 
-    ok = True
+    checks("injectivity-sample", True)
     images = braid.artin_images(random_word(5, 12, rng, min_len=4))
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     for _ in range(cases):
         raw = tuple(rng.choice([1, -1]) * rng.randint(1, 5) for _ in range(rng.randint(0, 12)))
         fw = FreeWord(5, raw)
         image = fw_apply(images, fw)
-        if image.letters in seen and seen[image.letters] != fw.letters:
-            ok = False
+        checks("injectivity-sample", seen.get(image.letters, fw.letters) == fw.letters)
         seen[image.letters] = fw.letters
-    checks["injectivity-sample"] = ok
 
-    ok = True
+    checks("reduction-confluence", True)
     for _ in range(cases):
         raw = [rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(rng.randint(0, 20))]
-        ok = ok and _random_order_reduce(raw, rng) == FreeWord(4, tuple(raw)).letters
-    checks["reduction-confluence"] = ok
+        checks("reduction-confluence",
+               _random_order_reduce(raw, rng) == FreeWord(4, tuple(raw)).letters)
 
-    ok = True
     for n in range(4, 8):
         for i in range(1, n):
             for j in range(i + 1, n + 1):
-                ok = ok and bn_equal(z_ij(n, i, j), z_ij_chain(n, i, j))
-    checks["z-forms-agree"] = ok
+                checks("z-forms-agree", bn_equal(z_ij(n, i, j), z_ij_chain(n, i, j)))
 
-    ok = True
     for n in range(4, 8):
         x1 = BraidWord(n, (1,))
         gens = [BraidWord(n, (1, 1)), BraidWord(n, (2, 1, 1, 2))]
         gens += [BraidWord(n, (j,)) for j in range(3, n)]
         for g in gens:
-            ok = ok and bn_equal(commutator_word(g, x1), BraidWord(n, ()))
-    checks["centralizer-generators-commute"] = ok
+            checks("centralizer-generators-commute",
+                   bn_equal(commutator_word(g, x1), BraidWord(n, ())))
 
-    ok = True
     for _ in range(max(cases // 10, 10)):
         n = rng.randint(4, 6)
         p = _rand_pure_word(n, rng, factors=2)
@@ -178,8 +180,7 @@ def artin_suite(cases: int = 200, seed: int = 0) -> dict[str, bool]:
         for a in range(1, n + 1):
             for c in range(1, n + 1):
                 relabeled[perm(a) - 1][perm(c) - 1] = lk[a - 1][c - 1]
-        ok = ok and tuple(tuple(row) for row in relabeled) == lk_conj
-    checks["linking-conjugation"] = ok
+        checks("linking-conjugation", tuple(tuple(row) for row in relabeled) == lk_conj)
 
     return checks
 
@@ -189,33 +190,27 @@ def artin_suite(cases: int = 200, seed: int = 0) -> dict[str, bool]:
 
 
 def _all_perms(n: int) -> list[Perm]:
-    import itertools
-
     return [Perm(n, p) for p in itertools.permutations(range(1, n + 1))]
 
 
 def tits_suite(cases: int = 200, seed: int = 0) -> dict[str, bool]:
     rng = random.Random(seed)
-    checks: dict[str, bool] = {}
+    checks = Checks()
 
-    ok = True
     for n in range(2, 6):
         for p in _all_perms(n):
             w = tits_lift(p)
-            ok = ok and psi(w) == p and len(w) == inversions(p)
-            ok = ok and all(letter > 0 for letter in w.letters)
-    checks["positive-section"] = ok
+            checks("positive-section", psi(w) == p and len(w) == inversions(p)
+                   and all(letter > 0 for letter in w.letters))
 
-    ok = True
     for n in range(3, 6):
         for p in _all_perms(n):
             w0 = tits_lift(p)
             for _ in range(2):
                 w1 = tits_lift(p, rng)
-                ok = ok and psi(w1) == p and bn_equal(w0, w1)
-    checks["well-defined"] = ok
+                checks("well-defined", psi(w1) == p and bn_equal(w0, w1))
 
-    ok = True
+    checks("length-additivity", True)
     for _ in range(cases):
         n = rng.randint(3, 6)
         p = rng.choice(_all_perms(n))
@@ -223,8 +218,7 @@ def tits_suite(cases: int = 200, seed: int = 0) -> dict[str, bool]:
         lifted = concat(tits_lift(p), BraidWord(n, (i,)))
         q = psi(lifted)
         if inversions(q) == inversions(p) + 1:
-            ok = ok and bn_equal(tits_lift(q), lifted)
-    checks["length-additivity"] = ok
+            checks("length-additivity", bn_equal(tits_lift(q), lifted))
 
     return checks
 
@@ -235,35 +229,32 @@ def tits_suite(cases: int = 200, seed: int = 0) -> dict[str, bool]:
 
 def gn_presentation_suite(cases: int = 1000, seed: int = 0) -> dict[str, bool]:
     rng = random.Random(seed)
-    checks: dict[str, bool] = {}
+    checks = Checks()
     one = gn_identity
 
-    ok = True
     for n in range(4, 9):
         nu = gn_nu(n)
         s1, us = gn_s1(n), [gn_u(n, i) for i in range(1, n)]
         for i in range(1, n):
             expected = nu if i == 2 else one(n)
-            ok = ok and gn_commutator(s1, us[i - 1]) == expected
+            checks("presentation-relations", gn_commutator(s1, us[i - 1]) == expected)
         for i in range(1, n):
             for j in range(i + 1, n):
                 expected = nu if j == i + 1 else one(n)
-                ok = ok and gn_commutator(us[i - 1], us[j - 1]) == expected
+                checks("presentation-relations", gn_commutator(us[i - 1], us[j - 1]) == expected)
         for g in [s1] + us:
-            ok = ok and gn_commutator(nu, g) == one(n)
-        ok = ok and gn_mul(nu, nu) == one(n)
-    checks["presentation-relations"] = ok
+            checks("presentation-relations", gn_commutator(nu, g) == one(n))
+        checks("presentation-relations", gn_mul(nu, nu) == one(n))
 
-    ok = True
+    checks("commutator-q-law", True)
     for _ in range(cases):
         n = rng.randint(4, 8)
         a = GnElement(n, rng.randint(0, 1), tuple(rng.randint(-3, 3) for _ in range(n)))
         b = GnElement(n, rng.randint(0, 1), tuple(rng.randint(-3, 3) for _ in range(n)))
         expected = GnElement(n, q_value(a.vec, b.vec, n), (0,) * n)
-        ok = ok and gn_commutator(a, b) == expected
-    checks["commutator-q-law"] = ok
+        checks("commutator-q-law", gn_commutator(a, b) == expected)
 
-    ok = True
+    checks("powers-and-inverses", True)
     for _ in range(min(cases, 200)):
         n = rng.randint(4, 8)
         g = GnElement(n, rng.randint(0, 1), tuple(rng.randint(-3, 3) for _ in range(n)))
@@ -271,45 +262,43 @@ def gn_presentation_suite(cases: int = 1000, seed: int = 0) -> dict[str, bool]:
         step, acc = (g if m >= 0 else gn_inv(g)), gn_identity(n)
         for _ in range(abs(m)):
             acc = gn_mul(acc, step)
-        ok = ok and gn_pow(g, m) == acc and gn_mul(g, gn_inv(g)) == gn_identity(n)
-    checks["powers-and-inverses"] = ok
+        checks("powers-and-inverses",
+               gn_pow(g, m) == acc and gn_mul(g, gn_inv(g)) == gn_identity(n))
 
-    ok = True
     for n in range(4, 8):
         pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
         for (i, j) in pairs:
             for (k, l) in pairs:
                 shared = len({i, j} & {k, l})
                 expected = gn_nu(n) if shared == 1 else gn_identity(n)
-                ok = ok and gn_commutator(s_ij(n, i, j), s_ij(n, k, l)) == expected
-    checks["sij-commutator-table"] = ok
+                checks("sij-commutator-table",
+                       gn_commutator(s_ij(n, i, j), s_ij(n, k, l)) == expected)
 
-    ok = True
     for n in range(4, 8):
         for k in range(1, n - 1):
             for j in range(1, n):
                 sjn = s_ij(n, j, n)
                 moved = act_generator(sjn, k, 1)
                 if j not in (k, k + 1):
-                    ok = ok and moved == sjn
+                    checks("hurwitz-moves", moved == sjn)
                 elif j == k:
-                    ok = ok and moved == s_ij(n, k + 1, n)
+                    checks("hurwitz-moves", moved == s_ij(n, k + 1, n))
                 else:
                     skn, sk1n = s_ij(n, k, n), s_ij(n, k + 1, n)
-                    ok = ok and moved == gn_mul(gn_mul(sk1n, skn), gn_inv(sk1n))
-                    ok = ok and moved == gn_mul(skn, gn_nu(n))
-    checks["hurwitz-moves"] = ok
+                    checks("hurwitz-moves", moved == gn_mul(gn_mul(sk1n, skn), gn_inv(sk1n))
+                           and moved == gn_mul(skn, gn_nu(n)))
 
-    ok = True
+    checks("embedding-chain", True)
     for _ in range(min(cases, 200)):
         n = rng.randint(4, 7)
         a = GnElement(n, rng.randint(0, 1), tuple(rng.randint(-2, 2) for _ in range(n)))
         b = GnElement(n, rng.randint(0, 1), tuple(rng.randint(-2, 2) for _ in range(n)))
-        ok = ok and embed(gn_mul(a, b), n + 1) == gn_mul(embed(a, n + 1), embed(b, n + 1))
-        ok = ok and embed(gn_inv(a), n + 1) == gn_inv(embed(a, n + 1))
+        checks("embedding-chain",
+               embed(gn_mul(a, b), n + 1) == gn_mul(embed(a, n + 1), embed(b, n + 1))
+               and embed(gn_inv(a), n + 1) == gn_inv(embed(a, n + 1)))
         for i in range(1, n):
-            ok = ok and embed(act_generator(a, i, 1), n + 1) == act_generator(embed(a, n + 1), i, 1)
-    checks["embedding-chain"] = ok
+            checks("embedding-chain",
+                   embed(act_generator(a, i, 1), n + 1) == act_generator(embed(a, n + 1), i, 1))
 
     return checks
 
@@ -320,51 +309,45 @@ def gn_presentation_suite(cases: int = 1000, seed: int = 0) -> dict[str, bool]:
 
 def gn_action_suite(cases: int = 300, seed: int = 0) -> dict[str, bool]:
     rng = random.Random(seed)
-    checks: dict[str, bool] = {}
+    checks = Checks()
 
-    ok = True
+    checks("multiplicative", True)
     for _ in range(cases):
         n = rng.randint(4, 8)
         i = rng.randint(1, n - 1)
         sign = rng.choice([1, -1])
         a = GnElement(n, rng.randint(0, 1), tuple(rng.randint(-3, 3) for _ in range(n)))
         b = GnElement(n, rng.randint(0, 1), tuple(rng.randint(-3, 3) for _ in range(n)))
-        ok = ok and act_generator(gn_mul(a, b), i, sign) == gn_mul(
-            act_generator(a, i, sign), act_generator(b, i, sign))
-    checks["multiplicative"] = ok
+        checks("multiplicative", act_generator(gn_mul(a, b), i, sign) == gn_mul(
+            act_generator(a, i, sign), act_generator(b, i, sign)))
 
-    ok = True
     for n in range(4, 9):
         basis = [gn_generator(n, k) for k in range(n)] + [gn_nu(n)]
         for i in range(1, n - 1):
             for g in basis:
-                ok = ok and act_word(g, BraidWord(n, (i, i + 1, i))) == act_word(
-                    g, BraidWord(n, (i + 1, i, i + 1)))
+                checks("braid-relations", act_word(g, BraidWord(n, (i, i + 1, i))) == act_word(
+                    g, BraidWord(n, (i + 1, i, i + 1))))
         for i in range(1, n):
             for j in range(i + 2, n):
                 for g in basis:
-                    ok = ok and act_word(g, BraidWord(n, (i, j))) == act_word(
-                        g, BraidWord(n, (j, i)))
+                    checks("braid-relations", act_word(g, BraidWord(n, (i, j))) == act_word(
+                        g, BraidWord(n, (j, i))))
         for i in range(1, n):
             for g in basis:
-                ok = ok and act_generator(act_generator(g, i, 1), i, -1) == g
-                ok = ok and act_generator(act_generator(g, i, -1), i, 1) == g
-    checks["braid-relations"] = ok
+                checks("braid-relations", act_generator(act_generator(g, i, 1), i, -1) == g
+                       and act_generator(act_generator(g, i, -1), i, 1) == g)
 
-    ok = True
     for n in range(4, 9):
         relator = quadrangle_relator(n)
         for g in [gn_generator(n, k) for k in range(n)] + [gn_nu(n)]:
-            ok = ok and act_word(g, relator) == g
-    checks["quadrangle-trivial"] = ok
+            checks("quadrangle-trivial", act_word(g, relator) == g)
 
-    ok = True
     for n in range(4, 8):
         for i in range(1, n):
             s = s_ij(n, i, i + 1)
             for g in [gn_generator(n, k) for k in range(n)]:
                 conj = gn_mul(gn_mul(gn_inv(s), g), s)
-                ok = ok and act_word(g, BraidWord(n, (i, i))) == conj
+                checks("squares-are-conjugation", act_word(g, BraidWord(n, (i, i))) == conj)
     for _ in range(min(cases, 50)):
         n = rng.randint(4, 7)
         b = random_word(n, 6, rng)
@@ -373,8 +356,7 @@ def gn_action_suite(cases: int = 300, seed: int = 0) -> dict[str, bool]:
         for k in range(n):
             g = gn_generator(n, k)
             conj = gn_mul(gn_mul(gn_inv(s1_b), g), s1_b)
-            ok = ok and act_word(g, word) == conj
-    checks["squares-are-conjugation"] = ok
+            checks("squares-are-conjugation", act_word(g, word) == conj)
 
     return checks
 
@@ -385,34 +367,31 @@ def gn_action_suite(cases: int = 300, seed: int = 0) -> dict[str, bool]:
 
 def quotient_suite(cases: int = 500, seed: int = 0) -> dict[str, bool]:
     rng = random.Random(seed)
-    checks: dict[str, bool] = {}
+    checks = Checks()
 
-    ok = True
     for n in range(4, 8):
         table = s2_table(n)
         for i in range(1, n):
             nf = normal_form(BraidWord(n, (i, i)))
-            ok = ok and nf.perm.is_identity() and nf.g == table[i - 1] == s_ij(n, i, i + 1)
-    checks["squared-generators"] = ok
+            checks("squared-generators",
+                   nf.perm.is_identity() and nf.g == table[i - 1] == s_ij(n, i, i + 1))
 
-    ok = True
+    checks("homomorphism-on-pure", True)
     for _ in range(cases):
         n = rng.randint(4, 7)
         p1 = _rand_pure_word(n, rng, factors=rng.randint(1, 3))
         p2 = _rand_pure_word(n, rng, factors=rng.randint(1, 3))
         g1, g2 = normal_form(p1).g, normal_form(p2).g
-        ok = ok and normal_form(concat(p1, p2)).g == gn_mul(g1, g2)
-    checks["homomorphism-on-pure"] = ok
+        checks("homomorphism-on-pure", normal_form(concat(p1, p2)).g == gn_mul(g1, g2))
 
-    ok = True
+    checks("equivariance", True)
     for _ in range(cases):
         n = rng.randint(4, 7)
         p = _rand_pure_word(n, rng, factors=rng.randint(1, 3))
         b = random_word(n, 8, rng)
-        ok = ok and normal_form(conj_word(p, b)).g == act_word(normal_form(p).g, b)
-    checks["equivariance"] = ok
+        checks("equivariance", normal_form(conj_word(p, b)).g == act_word(normal_form(p).g, b))
 
-    ok = True
+    checks("linking-determines-abelian", True)
     for _ in range(cases):
         n = rng.randint(4, 7)
         p = _rand_pure_word(n, rng, factors=rng.randint(1, 3))
@@ -424,44 +403,40 @@ def quotient_suite(cases: int = 500, seed: int = 0) -> dict[str, bool]:
                 if lk[i - 1][j - 1]:
                     for k, x in enumerate(s_ij(n, i, j).vec):
                         combo[k] += lk[i - 1][j - 1] * x
-        ok = ok and tuple(combo) == normal_form(p).g.vec
-    checks["linking-determines-abelian"] = ok
+        checks("linking-determines-abelian", tuple(combo) == normal_form(p).g.vec)
 
-    ok = True
+    # Rescanning through a randomized reduced word for the section must give
+    # the same normal form, whatever reduced-word convention is picked.
+    checks("section-independence", True)
     for _ in range(min(cases, 200)):
         n = rng.randint(4, 7)
         nf = normal_form(random_word(n, 25, rng))
-        ok = ok and rescan_through_section(nf, rng) == nf
-    checks["section-independence"] = ok
+        checks("section-independence",
+               normal_form(concat(tits_lift(nf.perm, rng), lift(nf.g))) == nf)
 
-    ok = True
+    checks("lift-roundtrip", True)
     for _ in range(min(cases, 200)):
         n = rng.randint(4, 7)
         g = GnElement(n, rng.randint(0, 1), tuple(rng.randint(-3, 3) for _ in range(n)))
         nf = normal_form(lift(g))
-        ok = ok and nf.perm.is_identity() and nf.g == g
-    checks["lift-roundtrip"] = ok
+        checks("lift-roundtrip", nf.perm.is_identity() and nf.g == g)
 
-    ok = True
+    checks("degree-law", True)
     for _ in range(cases):
         n = rng.randint(4, 7)
         w = random_word(n, 60, rng)
         ell, a0, _, _ = quotient.degree_decomposition(w)
-        ok = ok and braid.exponent_sum(w) == ell + 2 * a0
-    checks["degree-law"] = ok
+        checks("degree-law", braid.exponent_sum(w) == ell + 2 * a0)
 
-    ok = True
     for n in range(4, 8):
         c = c_word(n)
         nf = normal_form(c)
-        ok = ok and nf.perm.is_identity() and nf.g == gn_nu(n)
-        ok = ok and in_kernel(concat(c, c))
+        checks("central-element", nf.perm.is_identity() and nf.g == gn_nu(n)
+               and in_kernel(concat(c, c)))
         for i in range(1, n):
             gen = BraidWord(n, (i,))
-            ok = ok and tbn_equal(concat(c, gen), concat(gen, c))
-    checks["central-element"] = ok
+            checks("central-element", tbn_equal(concat(c, gen), concat(gen, c)))
 
-    ok = True
     for _ in range(max(cases // 10, 50)):
         n = rng.randint(4, 7)
         b = random_word(n, 8, rng)
@@ -471,10 +446,8 @@ def quotient_suite(cases: int = 500, seed: int = 0) -> dict[str, bool]:
         nu = gn_nu(n)
         for e1, e2 in ((2, 2), (2, -2), (-2, -2)):
             nf = normal_form(commutator_word(power_word(y1, e1), power_word(y2, e2)))
-            ok = ok and nf.perm.is_identity() and nf.g == nu
-    checks["adjacent-squares"] = ok
+            checks("adjacent-squares", nf.perm.is_identity() and nf.g == nu)
 
-    ok = True
     for _ in range(max(cases // 10, 50)):
         n = rng.randint(4, 7)
         w = random_word(n, 8, rng)
@@ -484,8 +457,7 @@ def quotient_suite(cases: int = 500, seed: int = 0) -> dict[str, bool]:
         h2word = z_ij(n, a, b)
         nf1 = normal_form(concat(ht_word(h1), ht_word(h1)))
         nf2 = normal_form(concat(h2word, h2word))
-        ok = ok and nf1.perm == nf2.perm and nf1.g.vec == nf2.g.vec
-    checks["equal-endpoints-squares"] = ok
+        checks("equal-endpoints-squares", nf1.perm == nf2.perm and nf1.g.vec == nf2.g.vec)
 
     return checks
 
@@ -496,25 +468,23 @@ def quotient_suite(cases: int = 500, seed: int = 0) -> dict[str, bool]:
 
 def kernel_suite(cases: int = 100, seed: int = 0) -> dict[str, bool]:
     rng = random.Random(seed)
-    checks: dict[str, bool] = {}
+    checks = Checks()
 
-    ok = True
+    checks("quadrangle-conjugates", True)
     for _ in range(cases):
         n = rng.randint(4, 7)
         b = random_word(n, 20, rng)
-        ok = ok and in_kernel(conj_word(quadrangle_relator(n), b))
-    checks["quadrangle-conjugates"] = ok
+        checks("quadrangle-conjugates", in_kernel(conj_word(quadrangle_relator(n), b)))
 
-    ok = True
+    checks("transversal-conjugates", True)
     for _ in range(cases):
         n = rng.randint(4, 7)
         b = random_word(n, 20, rng)
         t1, t2 = transversal_pair(n)
         word = commutator_word(ht_word(ht_conjugate(t1, b)), ht_word(ht_conjugate(t2, b)))
-        ok = ok and in_kernel(word)
-    checks["transversal-conjugates"] = ok
+        checks("transversal-conjugates", in_kernel(word))
 
-    ok = True
+    checks("non-kernel-rejected", True)
     rejected = 0
     while rejected < cases:
         n = rng.randint(4, 7)
@@ -523,17 +493,12 @@ def kernel_suite(cases: int = 100, seed: int = 0) -> dict[str, bool]:
         if nf.perm.is_identity() and nf.g == gn_identity(n):
             continue  # the rare trivial draw is not a counterexample candidate
         rejected += 1
-        ok = ok and not in_kernel(w)
-    checks["non-kernel-rejected"] = ok
+        checks("non-kernel-rejected", not in_kernel(w))
 
-    ok = True
     for n in range(4, 7):
         empty = BraidWord(n, ())
-        relator = quadrangle_relator(n)
-        comm = transversal_commutator(n)
-        ok = ok and not bn_equal(relator, empty) and in_kernel(relator)
-        ok = ok and not bn_equal(comm, empty) and in_kernel(comm)
-    checks["kernel-words-bn-nontrivial"] = ok
+        for word in (quadrangle_relator(n), transversal_commutator(n)):
+            checks("kernel-words-bn-nontrivial", not bn_equal(word, empty) and in_kernel(word))
 
     return checks
 
@@ -544,17 +509,14 @@ def kernel_suite(cases: int = 100, seed: int = 0) -> dict[str, bool]:
 
 def primes_suite(cases: int = 50, seed: int = 0) -> dict[str, bool]:
     rng = random.Random(seed)
-    checks: dict[str, bool] = {}
+    checks = Checks()
 
-    ok = True
     for n in range(4, 8):
         pair = canonical_prime(n)
         G = GnInstance(n)
         report = check_prime_frame(G, pair.h, pair.tau, seed=seed)
-        ok = ok and report.verdict == "pass"
-        ok = ok and G.in_degree_zero(pair.h)
-        ok = ok and make_pair(G, pair.h, pair.ht).tau == pair.tau == gn_nu(n)
-    checks["canonical-prime-passes"] = ok
+        checks("canonical-prime-passes", report.verdict == "pass" and G.in_degree_zero(pair.h)
+               and make_pair(G, pair.h, pair.ht).tau == pair.tau == gn_nu(n))
 
     G5 = GnInstance(5)
     pair5 = canonical_prime(5)
@@ -567,15 +529,13 @@ def primes_suite(cases: int = 50, seed: int = 0) -> dict[str, bool]:
         (transport(G5, pair5, frame(5, 2)), gn_nu(5), "1"),
         (gn_s1(5), gn_nu(5), "1"),
     ]
-    ok = True
     for candidate, tau, expected in mutants:
         report = check_prime_frame(G5, candidate, tau, seed=seed)
-        ok = ok and report.verdict == f"fail({expected})"
+        checks("mutants-fail", report.verdict == f"fail({expected})")
     report = check_prime_frame(G5, gn_mul(gn_u(5, 1), gn_u(5, 2)), gn_nu(5), seed=seed)
-    ok = ok and report.conditions["3"] is False
-    checks["mutants-fail"] = ok
+    checks("mutants-fail", report.conditions["3"] is False)
 
-    ok = True
+    checks("conjugation-stability", True)
     for _ in range(cases):
         n = rng.randint(4, 7)
         G = GnInstance(n)
@@ -591,11 +551,10 @@ def primes_suite(cases: int = 50, seed: int = 0) -> dict[str, bool]:
         if n >= 5:
             samples.append(ht_conjugate(frame(n, 3), b))
         report = axiom_spot_check(G, moved.h, moved.ht, samples, tau=moved.tau)
-        ok = ok and report.verdict == "pass"
-        ok = ok and report.witness["checked"]["3"] >= 1
-    checks["conjugation-stability"] = ok
+        checks("conjugation-stability",
+               report.verdict == "pass" and report.witness["checked"]["3"] >= 1)
 
-    ok = True
+    checks("coherent-pairs-share-tau", True)
     for _ in range(min(cases, 20)):
         n = rng.randint(4, 7)
         G = GnInstance(n)
@@ -603,51 +562,32 @@ def primes_suite(cases: int = 50, seed: int = 0) -> dict[str, bool]:
         j = rng.randint(1, n - 1)
         target = HalfTwist(random_word(n, 5, rng), j, rng.random() < 0.5)
         g = transport(G, pair, target)
-        ok = ok and make_pair(G, g, target).tau == pair.tau
-    checks["coherent-pairs-share-tau"] = ok
+        checks("coherent-pairs-share-tau", make_pair(G, g, target).tau == pair.tau)
 
-    ok = True
     for n in (4, 5):
         G = GnInstance(n)
         pair = canonical_prime(n)
         reversed_support = HalfTwist(pair.ht.conj, pair.ht.index, not pair.ht.flipped)
         anti = transport(G, pair, reversed_support)
-        ok = ok and anti == gn_mul(gn_inv(pair.h), pair.tau)
-    checks["anti-coherent-inverts"] = ok
+        checks("anti-coherent-inverts", anti == gn_mul(gn_inv(pair.h), pair.tau))
 
-    ok = True
     for n in (5, 6):
         G = GnInstance(n)
         for pair in (canonical_prime(n), make_pair(G, gn_u(n, 1), frame(n, 1))):
             report = primes.prime_identity_suite(G, pair, cases=max(cases // 5, 10), seed=seed)
-            ok = ok and report.passed
-    checks["identity-suite"] = ok
+            checks("identity-suite", report.passed)
 
-    ok = True
     for n in (5, 6):
         G = GnInstance(n)
-        ok = ok and transport_uniqueness(G, canonical_prime(n), targets=20,
-                                         perturbations=5, seed=seed)
-    checks["transport-uniqueness"] = ok
+        checks("transport-uniqueness", transport_uniqueness(G, canonical_prime(n), targets=20,
+                                                            perturbations=5, seed=seed))
 
-    ok = True
-    report = check_prop71(G5, h5, bound=3, seed=seed)
-    ok = ok and report.verdict == "pass-up-to-bound(3)"
-    report = check_prop71(G5, gn_nu(5), bound=3, seed=seed)
-    ok = ok and report.verdict == "fail(0)"
-    report = check_prop71(G5, gn_s1(5), bound=3, seed=seed)
-    ok = ok and report.verdict == "fail(1a)"
-    checks["generation-criterion"] = ok
+    for S, verdict in ((h5, "pass-up-to-bound(3)"), (gn_nu(5), "fail(0)"), (gn_s1(5), "fail(1a)")):
+        checks("generation-criterion", check_prop71(G5, S, bound=3, seed=seed).verdict == verdict)
 
-    ok = True
-    G = GnInstance(5)
-    pair = canonical_prime(5)
-    u3 = transport(G, pair, frame(5, 3))
-    ok = ok and check_prime_frame(G, gn_u(5, 1), gn_nu(5)).verdict == "pass"
-    upair = make_pair(G, gn_u(5, 1), frame(5, 1))
-    ok = ok and upair.tau == gn_nu(5)
-    ok = ok and transport(G, upair, frame(5, 3)) == gn_u(5, 3)
-    checks["frame-family-transport"] = ok
+    upair = make_pair(G5, gn_u(5, 1), frame(5, 1))
+    checks("frame-family-transport", check_prime_frame(G5, gn_u(5, 1), gn_nu(5)).verdict == "pass"
+           and upair.tau == gn_nu(5) and transport(G5, upair, frame(5, 3)) == gn_u(5, 3))
 
     return checks
 

@@ -173,7 +173,7 @@ def _spot_check_routed_by_classify_pair(G, g, X, samples, relations, tau):
         else:
             witness["checked"]["skipped"] += 1
     conditions = {"1": cond1, "2": cond2, "3": cond3}
-    return _finish_report(conditions, ["1", "2", "3"], None, 0, witness)
+    return _finish_report(conditions, None, 0, witness)
 
 
 def test_axiom_spot_check_matches_classify_pair_routing():
