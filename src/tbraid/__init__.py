@@ -29,7 +29,7 @@ from .braid import (
     transversal_pair,
     z_ij,
 )
-from .freegroup import FreeWord, fw_apply, fw_inv, fw_mul
+from .freegroup import FreeWord, fw_apply
 from .gn import (
     GnElement,
     act_generator,

@@ -17,6 +17,7 @@ written to stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -84,10 +85,7 @@ def _cmd_eq(args) -> int:
     _require_n(args, minimum, "equality")
     w1 = _read_word(args, args.word1)
     w2 = _read_word(args, args.word2)
-    if args.group == "bn":
-        equal = bn_equal(w1, w2)
-    else:
-        equal = tbn_equal(w1, w2)
+    equal = bn_equal(w1, w2) if args.group == "bn" else tbn_equal(w1, w2)
     verdict = "equal" if equal else "not-equal"
     _emit(args, verdict, verdict)
     return 0 if equal else 1
@@ -129,12 +127,7 @@ def _cmd_classify(args) -> int:
     h1 = _parse_half_twist(args.ht1, args.n)
     h2 = _parse_half_twist(args.ht2, args.n)
     rel = classify_pair(h1, h2)
-    record = {
-        "commute": rel.commute,
-        "triple": rel.triple,
-        "common_endpoints": rel.common_endpoints,
-        "label": rel.label,
-    }
+    record = dataclasses.asdict(rel)
     human = (f"commute: {rel.commute}\ntriple: {rel.triple}\n"
              f"common_endpoints: {rel.common_endpoints}\nlabel: {rel.label}")
     _emit(args, record, human)
@@ -168,12 +161,7 @@ def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = run_suites(names, args.cases, args.seed)
     ok = all(all(checks.values()) for checks in results.values())
-    payload = {
-        "suites": results,
-        "cases": args.cases,
-        "seed": args.seed,
-        "pass": ok,
-    }
+    payload = {"suites": results, "cases": args.cases, "seed": args.seed, "pass": ok}
     lines = []
     for name, checks in results.items():
         suite_ok = all(checks.values())

@@ -57,21 +57,6 @@ class FreeWord:
         return len(self.letters)
 
 
-def fw_mul(a: FreeWord, b: FreeWord) -> FreeWord:
-    """Product in the free group (concatenate, then reduce)."""
-    if a.n != b.n:
-        raise ValueError(f"mismatched ranks {a.n} and {b.n}")
-    return FreeWord(a.n, a.letters + b.letters)
-
-
-def fw_inv(a: FreeWord) -> FreeWord:
-    """Inverse: reverse the word and flip every sign.
-
-    The inverse of a reduced word is reduced, so this never re-reduces.
-    """
-    return FreeWord(a.n, tuple([-letter for letter in reversed(a.letters)]))
-
-
 def fw_apply(images: Sequence[FreeWord], w: FreeWord) -> FreeWord:
     """Apply the substitution homomorphism x_k -> images[k-1] to w.
 

@@ -9,9 +9,10 @@ group G(n) is a complete invariant.  The pair (permutation, GnElement) is
 therefore a normal form: two words are equal in TB_n iff their normal forms
 agree componentwise.
 
-The scan below computes the normal form in one left-to-right pass.  It
-maintains the invariant "processed prefix = tits_lift(perm) . Lambda^-1(g)"
-where Lambda is the coordinate map on pure elements, fixed by
+The scan below is a right action of letters on normal forms: started from
+(perm, g) it reads letters left to right and maintains the invariant
+"processed prefix = tits_lift(perm) . Lambda^-1(g)" where Lambda is the
+coordinate map on pure elements, fixed by
 
     Lambda(X_i^2) = s_{i, i+1},
     Lambda(p_b)   = act_word(Lambda(p), b).
@@ -28,6 +29,14 @@ sparse left factor s_{i,i+1}^{+-1} (its bit, the coordinates its cocycle
 reads, and its nonzero entries); both are derived once per letter and cached,
 so the cost per letter does not grow with n.  One GnElement is built at the
 end.
+
+The normal form of a word is its scan from the identity, and the group law
+never leaves the coordinates: with T = tits_lift,
+
+    (p, g) . (q, h) = (pq, g' h)  where (pq, g') = scan of T(q) from (p, g),
+    (p, g)^-1       = scan of T(p)^-1 from (1, g^-1),
+
+so a product or an inverse scans at most n(n-1)/2 letters.
 
 Completeness of the invariant rests on the coordinate map being an
 isomorphism from the pure part of TB_n onto G(n); the verification suites
@@ -47,7 +56,6 @@ from .braid import (
     inv_word,
     inversions,
     power_word,
-    psi,
     tits_lift,
     z_ij,
 )
@@ -58,6 +66,7 @@ from .gn import (
     beta,
     gn_identity,
     gn_inv,
+    gn_mul,
     s_ij,
 )
 
@@ -69,6 +78,10 @@ class TbnNormalForm:
 
     perm: Perm
     g: GnElement
+
+    def __post_init__(self):
+        if self.perm.n != self.g.n:
+            raise ValueError(f"mismatched sizes {self.perm.n} and {self.g.n}")
 
     @property
     def n(self) -> int:
@@ -86,6 +99,12 @@ class TbnNormalForm:
 def _require_quotient_n(n: int) -> None:
     if n < 4:
         raise ValueError(f"the transversal quotient needs n >= 4, got {n}")
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> TbnNormalForm:
+    _require_quotient_n(n)
+    return TbnNormalForm(Perm(n, tuple(range(1, n + 1))), gn_identity(n))
 
 
 @lru_cache(maxsize=None)
@@ -116,20 +135,16 @@ def _scan_step(n: int, letter: int) -> tuple:
     return affine_action(n, i, sign), fold
 
 
-def normal_form(w: BraidWord) -> TbnNormalForm:
-    """Scan w once, maintaining (perm, g) with the loop invariant above.
-
-    >>> nf = normal_form(BraidWord(4, (1, 1)))
-    >>> nf.perm.is_identity(), nf.g.bit, nf.g.vec
-    (True, 0, (1, 0, 0, 0))
-    """
-    n = w.n
+def _scan(start: TbnNormalForm, letters: tuple[int, ...]) -> TbnNormalForm:
+    """The normal form of start . letters: the right action of the letters on
+    normal forms, keeping the loop invariant above."""
+    n = start.n
     _require_quotient_n(n)
-    steps = {letter: _scan_step(n, letter) for letter in set(w.letters)}
-    a = list(range(1, n + 1))      # one-line images of the running permutation
-    pos = list(range(n + 1))       # pos[v] = 1-based position of value v
-    bit, vec = 0, [0] * n          # g = nu^bit . s_1^vec[0] . u_1^vec[1] ...
-    for letter in w.letters:
+    steps = {letter: _scan_step(n, letter) for letter in set(letters)}
+    a = list(start.perm.images)    # one-line images of the running permutation
+    pos = [0] + sorted(range(1, n + 1), key=lambda k: a[k - 1])  # pos[v] = position of v
+    bit, vec = start.g.bit, list(start.g.vec)  # g = nu^bit . s_1^vec[0] . u_1^vec[1] ...
+    for letter in letters:
         i = abs(letter)
         action, (fold_bit, fold_beta, fold_vec) = steps[letter]
         bit = apply_affine(action, bit, vec)
@@ -146,6 +161,16 @@ def normal_form(w: BraidWord) -> TbnNormalForm:
     return TbnNormalForm(Perm(n, tuple(a)), GnElement(n, bit & 1, tuple(vec)))
 
 
+def normal_form(w: BraidWord) -> TbnNormalForm:
+    """The scan of w from the identity.
+
+    >>> nf = normal_form(BraidWord(4, (1, 1)))
+    >>> nf.perm.is_identity(), nf.g.bit, nf.g.vec
+    (True, 0, (1, 0, 0, 0))
+    """
+    return _scan(_identity(w.n), w.letters)
+
+
 def tbn_equal(w1: BraidWord, w2: BraidWord) -> bool:
     """Equality in the quotient: equality of normal forms."""
     if w1.n != w2.n:
@@ -155,8 +180,7 @@ def tbn_equal(w1: BraidWord, w2: BraidWord) -> bool:
 
 def in_kernel(w: BraidWord) -> bool:
     """Whether w lies in the kernel of B_n -> TB_n (trivial normal form)."""
-    nf = normal_form(w)
-    return nf.perm.is_identity() and nf.g == gn_identity(w.n)
+    return normal_form(w) == _identity(w.n)
 
 
 def lift(g: GnElement) -> BraidWord:
@@ -169,16 +193,11 @@ def lift(g: GnElement) -> BraidWord:
     """
     n = g.n
     _require_quotient_n(n)
-    parts = [power_word(BraidWord(n, (1, 1)), g.vec[0])]
-    v1_factor = concat(power_word(z_ij(n, 2, 3), 2), power_word(z_ij(n, 1, 3), -2))
-    parts.append(power_word(v1_factor, g.vec[1]))
-    for j in range(2, n):
-        factor = concat(
-            power_word(z_ij(n, 1, j + 1), 2),
-            power_word(z_ij(n, 1, j), -2),
-        )
-        parts.append(power_word(factor, g.vec[j]))
-    word = concat(*parts)
+    factors = [BraidWord(n, (1, 1)),
+               concat(power_word(z_ij(n, 2, 3), 2), power_word(z_ij(n, 1, 3), -2))]
+    factors += [concat(power_word(z_ij(n, 1, j + 1), 2), power_word(z_ij(n, 1, j), -2))
+                for j in range(2, n)]
+    word = concat(*[power_word(f, x) for f, x in zip(factors, g.vec)])
     nf = normal_form(word)
     if not (nf.perm.is_identity() and nf.g.vec == g.vec):
         raise AssertionError("lift missed its target")
@@ -187,19 +206,23 @@ def lift(g: GnElement) -> BraidWord:
     return word
 
 
-def word_of(nf: TbnNormalForm) -> BraidWord:
-    """One word representing the normal form: section word, then pure lift."""
-    return concat(tits_lift(nf.perm), lift(nf.g))
-
-
 def tbn_mul(a: TbnNormalForm, b: TbnNormalForm) -> TbnNormalForm:
+    """The product (p, g)(q, h) = (pq, g'h), (pq, g') the scan of tits_lift(q) from (p, g).
+
+    >>> x1 = normal_form(BraidWord(4, (1,)))
+    >>> tbn_mul(x1, x1) == normal_form(BraidWord(4, (1, 1)))
+    True
+    """
     if a.n != b.n:
         raise ValueError(f"mismatched sizes {a.n} and {b.n}")
-    return normal_form(concat(word_of(a), word_of(b)))
+    c = _scan(a, tits_lift(b.perm).letters)
+    return TbnNormalForm(c.perm, gn_mul(c.g, b.g))
 
 
 def tbn_inv(a: TbnNormalForm) -> TbnNormalForm:
-    return normal_form(inv_word(word_of(a)))
+    """The inverse of (p, g): the scan of tits_lift(p)^-1 from (1, g^-1)."""
+    start = TbnNormalForm(_identity(a.n).perm, gn_inv(a.g))
+    return _scan(start, inv_word(tits_lift(a.perm)).letters)
 
 
 def degree_decomposition(w: BraidWord) -> tuple[int, int, tuple[int, ...], int]:
@@ -210,4 +233,4 @@ def degree_decomposition(w: BraidWord) -> tuple[int, int, tuple[int, ...], int]:
         exponent_sum(w) = length + 2 * degree.
     """
     nf = normal_form(w)
-    return (inversions(psi(w)), nf.g.vec[0], nf.g.vec[1:], nf.g.bit)
+    return (inversions(nf.perm), nf.g.vec[0], nf.g.vec[1:], nf.g.bit)

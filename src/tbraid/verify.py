@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import braid, primes, quotient
@@ -189,8 +190,9 @@ def artin_suite(cases: int = 200, seed: int = 0) -> dict[str, bool]:
 # suite: tits
 
 
-def _all_perms(n: int) -> list[Perm]:
-    return [Perm(n, p) for p in itertools.permutations(range(1, n + 1))]
+@lru_cache(maxsize=None)
+def _all_perms(n: int) -> tuple[Perm, ...]:
+    return tuple([Perm(n, p) for p in itertools.permutations(range(1, n + 1))])
 
 
 def tits_suite(cases: int = 200, seed: int = 0) -> dict[str, bool]:
@@ -396,8 +398,7 @@ def quotient_suite(cases: int = 500, seed: int = 0) -> dict[str, bool]:
         n = rng.randint(4, 7)
         p = _rand_pure_word(n, rng, factors=rng.randint(1, 3))
         lk = linking_matrix(p)
-        combo = gn_identity(n).vec
-        combo = list(combo)
+        combo = [0] * n
         for i in range(1, n):
             for j in range(i + 1, n + 1):
                 if lk[i - 1][j - 1]:

@@ -3,15 +3,21 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from tbraid.freegroup import (
-    FreeWord,
-    fw_apply,
-    fw_identity_images,
-    fw_inv,
-    fw_mul,
-)
+from tbraid.freegroup import FreeWord, fw_apply, fw_identity_images
 
 letters = st.lists(st.sampled_from([k for k in range(-4, 5) if k]), max_size=24)
+
+
+def fw_mul(a: FreeWord, b: FreeWord) -> FreeWord:
+    """Product in the free group: concatenate, and let FreeWord reduce."""
+    if a.n != b.n:
+        raise ValueError(f"mismatched ranks {a.n} and {b.n}")
+    return FreeWord(a.n, a.letters + b.letters)
+
+
+def fw_inv(a: FreeWord) -> FreeWord:
+    """Inverse: reverse the word and flip every sign."""
+    return FreeWord(a.n, tuple([-letter for letter in reversed(a.letters)]))
 
 
 def test_reduce_examples():

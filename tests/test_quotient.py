@@ -1,20 +1,25 @@
+import itertools
 import random
 
 import pytest
 
 from tbraid.braid import (
     BraidWord,
+    Perm,
     bn_equal,
     concat,
     conj_word,
+    inv_word,
     parse_word,
     power_word,
     psi,
     quadrangle_relator,
+    tits_lift,
     transversal_commutator,
 )
 from tbraid.gn import GnElement, gn_identity, gn_mul, gn_nu, gn_pow, gn_s1, s_ij
 from tbraid.quotient import (
+    TbnNormalForm,
     c_word,
     degree_decomposition,
     in_kernel,
@@ -24,8 +29,29 @@ from tbraid.quotient import (
     tbn_equal,
     tbn_inv,
     tbn_mul,
-    word_of,
 )
+
+
+# The group law by the word round trip, the differential oracle of tbn_mul
+# and tbn_inv: spell the factors as words, concatenate and rescan.
+def word_of(nf: TbnNormalForm) -> BraidWord:
+    """One word representing the normal form: section word, then pure lift."""
+    return concat(tits_lift(nf.perm), lift(nf.g))
+
+
+def word_mul(a: TbnNormalForm, b: TbnNormalForm) -> TbnNormalForm:
+    return normal_form(concat(word_of(a), word_of(b)))
+
+
+def word_inv(a: TbnNormalForm) -> TbnNormalForm:
+    return normal_form(inv_word(word_of(a)))
+
+
+def random_element(rng: random.Random, perm: Perm) -> TbnNormalForm:
+    """(perm, g) with a seeded g whose coordinates lie in [-3, 3]."""
+    n = perm.n
+    return TbnNormalForm(perm, GnElement(n, rng.randint(0, 1),
+                                         tuple(rng.randint(-3, 3) for _ in range(n))))
 
 
 def test_s2_table():
@@ -119,6 +145,50 @@ def test_tbn_mul_examples():
         w1 = BraidWord(5, tuple(rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(8)))
         w2 = BraidWord(5, tuple(rng.choice([1, -1]) * rng.randint(1, 4) for _ in range(8)))
         assert tbn_mul(normal_form(w1), normal_form(w2)) == normal_form(concat(w1, w2))
+
+    # The resumed scan against the word round trip, on arbitrary coordinates.
+    rng = random.Random(41)
+    for n in (4, 5, 6, 8):
+        for _ in range(8):
+            a, b = (random_element(rng, Perm(n, tuple(rng.sample(range(1, n + 1), n))))
+                    for _ in range(2))
+            assert tbn_mul(a, b) == word_mul(a, b)
+            assert tbn_inv(a) == word_inv(a)
+
+    # Inverses and associativity over S_4, each permutation with a seeded g;
+    # the third factor is sampled (the full cube of triples is slow).
+    rng = random.Random(43)
+    s4 = [random_element(rng, Perm(4, p)) for p in itertools.permutations(range(1, 5))]
+    one = normal_form(BraidWord(4, ()))
+    for a in s4:
+        inv = tbn_inv(a)
+        assert tbn_mul(a, inv) == one == tbn_mul(inv, a)
+    thirds = rng.sample(s4, 3)
+    for a in s4:
+        for b in s4:
+            ab = tbn_mul(a, b)
+            for c in thirds:
+                assert tbn_mul(ab, c) == tbn_mul(a, tbn_mul(b, c))
+
+    # normal_form is a homomorphism on the reduced words of length <= 2 in B_4.
+    gens = [k for k in range(-3, 4) if k]
+    ball = [()] + [(x,) for x in gens] + [(x, y) for x in gens for y in gens if y != -x]
+    nfs = {u: normal_form(BraidWord(4, u)) for u in ball}
+    for u in ball:
+        for v in ball:
+            assert tbn_mul(nfs[u], nfs[v]) == normal_form(BraidWord(4, u + v))
+
+
+def test_group_law_guards():
+    three = TbnNormalForm(Perm(3, (1, 2, 3)), gn_identity(3))
+    with pytest.raises(ValueError):
+        tbn_mul(three, three)
+    with pytest.raises(ValueError):
+        tbn_inv(three)
+    with pytest.raises(ValueError):
+        tbn_mul(normal_form(BraidWord(4, ())), normal_form(BraidWord(5, ())))
+    with pytest.raises(ValueError):
+        TbnNormalForm(Perm(4, (1, 2, 3, 4)), gn_identity(5))
 
 
 def test_word_of_round_trip():
