@@ -2,17 +2,19 @@
 Prime elements of groups acted on by the transversal-commutator quotient.
 
 A group G together with a right action of TB_n by automorphisms is called an
-action group here; it is consumed through a deliberately small interface
-(identity/mul/inv/eq plus apply(g, i, sign) for the generator action), so
-instances other than the built-in coordinate group can plug in.
+action group here.  The checkers use exactly these members of it: n,
+identity(), mul(a, b), inv(a), eq(a, b), apply(g, i, sign) (the action of
+the letter X_i^sign), generating_set(), degree_zero_generators() (the default
+targets of condition 0 of check_prop71) and subgroup_contains(gens, t)
+(exact membership).  GnInstance, the coordinate group, is the built-in one.
 
 An element g of such a group is prime with supporting half-twist X and
 central element tau (tau central, tau^2 = 1, fixed by the action) when
 
     (1) g_{X^-1} = g^-1 tau,
     (2) for every half-twist Y adjacent to X:
-            (a) g_{X Y^-1 X^-1} = g_X^-1 . g_{X Y^-1}
-            (b) g_{Y^-1 X^-1}   = g^-1 . g_{Y^-1}
+            (a) g_{Y^-1 X^-1}   = g^-1 . g_{Y^-1}
+            (b) g_{X Y^-1 X^-1} = g_X^-1 . g_{X Y^-1}
     (3) g_Z = g for every half-twist Z disjoint from X.
 
 Primes satisfy an existence-and-uniqueness transport principle: given a
@@ -54,7 +56,7 @@ from .braid import (
     random_word,
 )
 from .gn import (GnElement, act_generator, gn_generator, gn_identity, gn_inv, gn_mul, gn_nu,
-                 gn_pow, gn_product, q_value)
+                 gn_pow, q_value)
 from .quotient import c_word, normal_form, tbn_equal
 
 
@@ -105,10 +107,6 @@ def act_by(G, g, letters: Iterable[int]):
     return g
 
 
-def act_by_word(G, g, w: BraidWord):
-    return act_by(G, g, w.letters)
-
-
 @dataclasses.dataclass(frozen=True)
 class PolarizedPair:
     """A prime element together with its polarized supporting half-twist and
@@ -121,7 +119,7 @@ class PolarizedPair:
 
 def make_pair(G, h, ht: HalfTwist) -> PolarizedPair:
     """Assemble a polarized pair, deriving tau = h . h_{X^-1}."""
-    tau = G.mul(h, act_by_word(G, h, inv_word(ht_word(ht))))
+    tau = G.mul(h, act_by(G, h, inv_word(ht_word(ht)).letters))
     return PolarizedPair(h, ht, tau)
 
 
@@ -176,24 +174,28 @@ def _finish_report(conditions: dict[str, bool], bound: int | None, seed: int,
     return PrimeReport(verdict, conditions, bound, seed, witness or None)
 
 
+def _adjacent_identities(G, g, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[bool, bool]:
+    """Axiom (2) for g on the adjacent half-twists X and Y with words x and
+    y: identities (a) and (b) of the module docstring."""
+    x_inv, y_inv = tuple(-a for a in reversed(x)), tuple(-a for a in reversed(y))
+    a = G.eq(act_by(G, g, y_inv + x_inv), G.mul(G.inv(g), act_by(G, g, y_inv)))
+    b = G.eq(act_by(G, g, x + y_inv + x_inv),
+             G.mul(G.inv(act_by(G, g, x)), act_by(G, g, x + y_inv)))
+    return a, b
+
+
 def _frame_identities(G, u) -> tuple[bool, bool, bool]:
     """The identities both criteria impose on u: conditions 2a, 2b and 3 of
     check_prime_frame, which are conditions 1a, 1b and 3 of check_prop71."""
-    first = G.eq(act_by(G, u, [-2, -1]), G.mul(G.inv(u), act_by(G, u, [-2])))
-    second = G.eq(
-        act_by(G, u, [1, -2, -1]),
-        G.mul(G.inv(act_by(G, u, [1])), act_by(G, u, [1, -2])),
-    )
     far = all(G.eq(act_by(G, u, [j]), u) for j in range(3, G.n))
-    return first, second, far
+    return (*_adjacent_identities(G, u, (1,), (2,)), far)
 
 
 # ---------------------------------------------------------------------------
 # the frame criterion
 
 
-def check_prime_frame(G, u, tau, centrality_sample: Sequence | None = None,
-                      seed: int = 0) -> PrimeReport:
+def check_prime_frame(G, u, tau, seed: int = 0) -> PrimeReport:
     """Check the frame criterion for u with claimed central element tau.
 
     Conditions (all equalities in G, actions written as subscripts):
@@ -218,11 +220,10 @@ def check_prime_frame(G, u, tau, centrality_sample: Sequence | None = None,
     # generators implies invariance under the whole action.
     witness: dict = {"sampled": ["tau-centrality"]}
 
-    if centrality_sample is None:
-        centrality_sample = list(getattr(G, "generating_set", lambda: [])())
-        for _ in range(8):
-            letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(4)]
-            centrality_sample.append(act_by(G, u, letters))
+    centrality_sample = list(G.generating_set())
+    for _ in range(8):
+        letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(4)]
+        centrality_sample.append(act_by(G, u, letters))
 
     cond1 = G.eq(act_by(G, u, [-1]), G.mul(G.inv(u), tau))
     if not cond1:
@@ -275,7 +276,7 @@ def check_prop71(G, S, generators: Sequence | None = None, bound: int = 3,
         raise ValueError(f"the generation criterion needs n >= 5, got {n}")
     witness: dict = {}
     if generators is None:
-        generators = getattr(G, "degree_zero_generators", G.generating_set)()
+        generators = G.degree_zero_generators()
 
     orbit = _bounded_orbit(G, S, bound)
     cond0 = True
@@ -286,12 +287,12 @@ def check_prop71(G, S, generators: Sequence | None = None, bound: int = 3,
             break
 
     cond1a, cond1b, cond3 = _frame_identities(G, S)
-    tau = G.mul(S, act_by(G, S, [-1]))
+    tau = make_pair(G, S, frame(n, 1)).tau
     T = act_by(G, S, [-2])
     cond2a = G.eq(act_by(G, tau, [1, 1]), tau)
     tau_T = G.mul(G.inv(T), G.mul(tau, T))
     cond2b = G.eq(tau_T, act_by(G, G.inv(tau), [1]))
-    cond4 = G.eq(act_by_word(G, S, c_word(n)), S)
+    cond4 = G.eq(act_by(G, S, c_word(n).letters), S)
 
     conditions = {"0": cond0, "1a": cond1a, "1b": cond1b,
                   "2a": cond2a, "2b": cond2b, "3": cond3, "4": cond4}
@@ -319,99 +320,42 @@ def _bounded_orbit(G, S, bound: int) -> list:
 # ---------------------------------------------------------------------------
 # exact subgroup membership in the coordinate group
 
-# The subgroup H generated by elements g_1..g_m of G(n) is handled through
-# the abelianization: membership of a target t needs an integer solution of
-# sum c_i ab(g_i) = ab(t) plus control of the central bit.  If some pair of
-# generators has Q(ab(g_i), ab(g_j)) = 1 then their commutator puts nu in H
-# and the bit is free.  Otherwise all generators commute exactly, products
-# are determined by their exponent vectors, the bit of a product is additive,
-# and nu lies in H iff some kernel-lattice basis vector evaluates to bit 1.
 
+def _subgroup_contains(gens: Sequence[GnElement], target: GnElement) -> bool:
+    """Whether target lies in the subgroup H of G(n) generated by gens.
 
-def _hnf_with_transform(rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
-    """Row echelon form over Z: returns (H, U, rank) with U . rows = H
-    unimodular and the nonzero rows of H in staircase form."""
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    h = [list(r) for r in rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    rank = 0
-    for col in range(ncols):
-        while True:
-            nz = [r for r in range(rank, m) if h[r][col] != 0]
-            if not nz:
-                break
-            r0 = min(nz, key=lambda r: abs(h[r][col]))
-            h[rank], h[r0] = h[r0], h[rank]
-            u[rank], u[r0] = u[r0], u[rank]
-            if h[rank][col] < 0:
-                h[rank] = [-x for x in h[rank]]
-                u[rank] = [-x for x in u[rank]]
-            done = True
-            for r in range(rank + 1, m):
-                q = h[r][col] // h[rank][col]
-                if q:
-                    h[r] = [x - q * y for x, y in zip(h[r], h[rank])]
-                    u[r] = [x - q * y for x, y in zip(u[r], u[rank])]
-                if h[r][col] != 0:
-                    done = False
-            if done:
-                break
-        if rank < m and h[rank][col] != 0:
-            rank += 1
-        if rank == m:
-            break
-    return h, u, rank
-
-
-def _solve_integer_combination(rows: list[list[int]], target: Sequence[int]) -> list[int] | None:
-    """Integer coefficients c with sum c_i rows[i] = target, or None."""
-    if not rows:
-        return [] if all(x == 0 for x in target) else None
-    h, u, rank = _hnf_with_transform(rows)
-    t = list(target)
-    z = [0] * len(rows)
-    for r in range(rank):
-        col = next(c for c in range(len(t)) if h[r][c] != 0)
-        if t[col] % h[r][col] != 0:
-            return None
-        q = t[col] // h[r][col]
-        z[r] = q
-        t = [x - q * y for x, y in zip(t, h[r])]
-    if any(x != 0 for x in t):
-        return None
-    m = len(rows)
-    return [sum(z[r] * u[r][i] for r in range(m)) for i in range(m)]
-
-
-def _nu_reachable(gens: list[GnElement]) -> bool:
-    """Whether nu lies in the subgroup generated by gens."""
-    n = gens[0].n
-    for a, b in itertools.combinations(gens, 2):
-        if q_value(a.vec, b.vec, n):
-            return True
-    # All generators commute exactly, so the bit of a product depends only on
-    # the exponent vector and is additive; scan a kernel-lattice basis.
-    rows = [list(g.vec) for g in gens]
-    _, u, rank = _hnf_with_transform(rows)
-    for kernel_row in u[rank:]:
-        if gn_product(map(gn_pow, gens, kernel_row), n).bit:
-            return True
-    return False
-
-
-def _subgroup_contains(gens: list[GnElement], target: GnElement) -> bool:
-    if not gens:
-        return target == gn_identity(target.n)
-    coeffs = _solve_integer_combination([list(g.vec) for g in gens], target.vec)
-    if coeffs is None:
+    Euclid's reduction runs column by column on the elements themselves, with
+    the row operation g <- g . p^-q for a pivot p.  The invariant: every row
+    is an element of H, central bit included, and the rows generate H.  The
+    target, reduced by the pivots, reaches vector 0 exactly when it lies in H
+    up to the centre, and is then 1 or nu.  nu lies in H when a row reduced
+    to nu or two pivots have Q = 1 (their commutator is nu); otherwise the
+    pivots commute and independent vectors determine their products.
+    """
+    rows, pivots = list(gens), []
+    for col in range(target.n):
+        live = [g for g in rows if g.vec[col]]
+        rows = [g for g in rows if not g.vec[col]]
+        while live:
+            live.sort(key=lambda g: abs(g.vec[col]))
+            p = live[0]
+            reduced = [gn_mul(g, gn_pow(p, -(g.vec[col] // p.vec[col]))) for g in live[1:]]
+            rows += [g for g in reduced if not g.vec[col]]
+            live = [g for g in reduced if g.vec[col]]
+            if live:
+                live.append(p)
+            else:
+                pivots.append((col, p))
+    t = target
+    for col, p in pivots:
+        q, r = divmod(t.vec[col], p.vec[col])
+        if r:
+            return False
+        t = gn_mul(t, gn_pow(p, -q))
+    if any(t.vec):
         return False
-    achieved = gn_product(map(gn_pow, gens, coeffs), target.n)
-    if achieved.vec != target.vec:
-        raise AssertionError("integer combination missed the target's abelian coordinates")
-    if achieved.bit == target.bit:
-        return True
-    return _nu_reachable(gens)
+    return not t.bit or any(g.bit for g in rows) or any(
+        q_value(a.vec, b.vec, t.n) for (_, a), (_, b) in itertools.combinations(pivots, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +390,7 @@ def transport(G, pair: PolarizedPair, target: HalfTwist):
     moving its support onto the target.  Uniqueness makes the result
     independent of the choice of that braid.
     """
-    return act_by_word(G, pair.h, _transport_conjugator(pair.ht, target))
+    return act_by(G, pair.h, _transport_conjugator(pair.ht, target).letters)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +427,8 @@ def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist],
     x_word = ht_word(X)
     x_inv = inv_word(x_word)
     if tau is None:
-        tau = G.mul(g, act_by_word(G, g, x_inv))
-    cond1 = G.eq(act_by_word(G, g, x_inv), G.mul(G.inv(g), tau))
+        tau = make_pair(G, g, X).tau
+    cond1 = G.eq(act_by(G, g, x_inv.letters), G.mul(G.inv(g), tau))
     cond1 = cond1 and G.eq(G.mul(tau, tau), G.identity())
     cond2 = True
     cond3 = True
@@ -492,21 +436,15 @@ def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist],
         if Y.n != X.n:
             raise ValueError(f"mismatched strand counts {X.n} and {Y.n}")
         y_word = ht_word(Y)
-        y_inv = inv_word(y_word)
         common = len(set(ht_endpoints(X)) & set(ht_endpoints(Y)))
         if common == 1:
             witness["checked"]["2"] += 1
-            lhs_a = act_by_word(G, g, concat(x_word, y_inv, x_inv))
-            rhs_a = G.mul(G.inv(act_by_word(G, g, x_word)),
-                          act_by_word(G, g, concat(x_word, y_inv)))
-            lhs_b = act_by_word(G, g, concat(y_inv, x_inv))
-            rhs_b = G.mul(G.inv(g), act_by_word(G, g, y_inv))
-            if not (G.eq(lhs_a, rhs_a) and G.eq(lhs_b, rhs_b)):
+            if not all(_adjacent_identities(G, g, x_word.letters, y_word.letters)):
                 cond2 = False
                 witness["2"] = "axiom (2) failed on an adjacent sample"
         elif common == 0 and tbn_equal(concat(x_word, y_word, x_inv), y_word):
             witness["checked"]["3"] += 1
-            if not G.eq(act_by_word(G, g, y_word), g):
+            if not G.eq(act_by(G, g, y_word.letters), g):
                 cond3 = False
                 witness["3"] = "a commuting weakly disjoint sample moved g"
         else:
@@ -570,7 +508,7 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     checks = Checks()
 
     def act(g, w: BraidWord):
-        return act_by_word(G, g, w)
+        return act_by(G, g, w.letters)
 
     h_x = act(h, x_word)
     h_xinv = act(h, inv_word(x_word))
@@ -673,10 +611,10 @@ def transport_uniqueness(G, pair: PolarizedPair, targets: int = 20,
         j = rng.randint(1, n - 1)
         target = HalfTwist(random_word(n, 6, rng), j, rng.random() < 0.5)
         base = _transport_conjugator(pair.ht, target)
-        reference = act_by_word(G, pair.h, base)
+        reference = act_by(G, pair.h, base.letters)
         for _ in range(perturbations):
             c = _random_cp_word(n, pair.ht.index, rng)
-            perturbed = act_by_word(G, pair.h, concat(conj_word(c, pair.ht.conj), base))
+            perturbed = act_by(G, pair.h, concat(conj_word(c, pair.ht.conj), base).letters)
             if not G.eq(perturbed, reference):
                 return False
     return True

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from tbraid.braid import (
     concat,
     frame,
     ht_conjugate,
+    ht_endpoints,
     ht_word,
     inv_word,
     random_word,
@@ -19,15 +21,18 @@ from tbraid.gn import (
     gn_inv,
     gn_mul,
     gn_nu,
+    gn_pow,
+    gn_product,
     gn_s1,
     gn_u,
+    q_value,
 )
 from tbraid.primes import (
     GnInstance,
     PolarizedPair,
     _finish_report,
     _subgroup_contains,
-    act_by_word,
+    act_by,
     axiom_spot_check,
     canonical_prime,
     check_prime_frame,
@@ -37,7 +42,7 @@ from tbraid.primes import (
     transport,
     transport_uniqueness,
 )
-from tbraid.quotient import normal_form, tbn_equal
+from tbraid.quotient import normal_form, tbn_equal, tbn_mul
 
 
 def test_canonical_prime_construction():
@@ -141,6 +146,34 @@ def test_axiom_spot_check_on_canonical_prime():
     assert report.witness["checked"]["3"] >= 3  # two disjoint + one transversal
 
 
+def _reduced_words(n, length):
+    """Every freely reduced word in B_n of at most the given length."""
+    letters = [s * i for i in range(1, n) for s in (1, -1)]
+    words, frontier = [()], [()]
+    for _ in range(length):
+        frontier = [w + (a,) for w in frontier for a in letters if not w or w[-1] != -a]
+        words += frontier
+    return words
+
+
+def test_half_twists_disjoint_from_x1_commute_with_it():
+    # The conclusion of axiom (3) that axiom_spot_check tests per sample:
+    # every half-twist with endpoints outside {1, 2} commutes with X_1 in
+    # TB_n.  Exhaustive over all short reduced conjugators.
+    for n, length, expected in ((4, 5, 2317), (5, 3, 670)):
+        x1 = normal_form(BraidWord(n, (1,)))
+        count = 0
+        for w in _reduced_words(n, length):
+            for i in range(1, n):
+                Z = HalfTwist(BraidWord(n, w), i)
+                if set(ht_endpoints(Z)) & {1, 2}:
+                    continue
+                z = normal_form(ht_word(Z))
+                assert tbn_mul(x1, z) == tbn_mul(z, x1), Z
+                count += 1
+        assert count == expected
+
+
 def _spot_check_routed_by_classify_pair(G, g, X, samples, relations, tau):
     """axiom_spot_check with each sample routed by its exact B_n relation
     record (classify_pair), the routing it had before the quotient test
@@ -148,7 +181,7 @@ def _spot_check_routed_by_classify_pair(G, g, X, samples, relations, tau):
     witness = {"checked": {"2": 0, "3": 0, "skipped": 0}}
     x_word = ht_word(X)
     x_inv = inv_word(x_word)
-    cond1 = G.eq(act_by_word(G, g, x_inv), G.mul(G.inv(g), tau))
+    cond1 = G.eq(act_by(G, g, x_inv.letters), G.mul(G.inv(g), tau))
     cond1 = cond1 and G.eq(G.mul(tau, tau), G.identity())
     cond2 = cond3 = True
     for Y, rel in zip(samples, relations):
@@ -156,18 +189,18 @@ def _spot_check_routed_by_classify_pair(G, g, X, samples, relations, tau):
         y_inv = inv_word(y_word)
         if rel.common_endpoints == 1:
             witness["checked"]["2"] += 1
-            lhs_a = act_by_word(G, g, concat(x_word, y_inv, x_inv))
-            rhs_a = G.mul(G.inv(act_by_word(G, g, x_word)),
-                          act_by_word(G, g, concat(x_word, y_inv)))
-            lhs_b = act_by_word(G, g, concat(y_inv, x_inv))
-            rhs_b = G.mul(G.inv(g), act_by_word(G, g, y_inv))
+            lhs_a = act_by(G, g, concat(x_word, y_inv, x_inv).letters)
+            rhs_a = G.mul(G.inv(act_by(G, g, x_word.letters)),
+                          act_by(G, g, concat(x_word, y_inv).letters))
+            lhs_b = act_by(G, g, concat(y_inv, x_inv).letters)
+            rhs_b = G.mul(G.inv(g), act_by(G, g, y_inv.letters))
             if not (G.eq(lhs_a, rhs_a) and G.eq(lhs_b, rhs_b)):
                 cond2 = False
                 witness["2"] = "axiom (2) failed on an adjacent sample"
         elif rel.common_endpoints == 0 and (
                 rel.commute or tbn_equal(concat(x_word, y_word, x_inv), y_word)):
             witness["checked"]["3"] += 1
-            if not G.eq(act_by_word(G, g, y_word), g):
+            if not G.eq(act_by(G, g, y_word.letters), g):
                 cond3 = False
                 witness["3"] = "a commuting weakly disjoint sample moved g"
         else:
@@ -197,7 +230,7 @@ def test_axiom_spot_check_matches_classify_pair_routing():
             if rel.commute:
                 x_word = ht_word(X)
                 assert tbn_equal(concat(x_word, ht_word(Y), inv_word(x_word)), ht_word(Y))
-        for g in (act_by_word(G, element, b) for element in elements):
+        for g in (act_by(G, element, b.letters) for element in elements):
             report = axiom_spot_check(G, g, X, samples, tau=pair.tau)
             oracle = _spot_check_routed_by_classify_pair(G, g, X, samples, relations, pair.tau)
             assert report.to_json() == oracle.to_json()
@@ -214,7 +247,7 @@ def test_conjugation_stability():
     pair = canonical_prime(6)
     for _ in range(10):
         b = BraidWord(6, tuple(rng.choice([1, -1]) * rng.randint(1, 5) for _ in range(6)))
-        moved = PolarizedPair(act_by_word(G, pair.h, b),
+        moved = PolarizedPair(act_by(G, pair.h, b.letters),
                               ht_conjugate(pair.ht, b), pair.tau)
         samples = [ht_conjugate(frame(6, j), b) for j in (2, 3, 4, 5)]
         samples.append(ht_conjugate(_transversal_to_x1(6), b))
@@ -271,6 +304,128 @@ def test_subgroup_membership():
     # empty generating set
     assert _subgroup_contains([], gn_identity(n))
     assert not _subgroup_contains([], u1)
+    assert not _subgroup_contains([], gn_nu(n))
+    # the same generator object twice
+    gens = [u1, u1]
+    assert _subgroup_contains(gens, gn_pow(u1, -3))
+    assert not _subgroup_contains(gens, gn_nu(n))
+    # nu and 1 among the generators
+    assert _subgroup_contains([gn_nu(n), u3], gn_mul(u3, gn_nu(n)))
+    assert not _subgroup_contains([gn_identity(n), u3], gn_mul(u3, gn_nu(n)))
+    assert _subgroup_contains([gn_identity(n)], gn_identity(n))
+    # negative pivots: u_1^-2 and u_1^-3 generate u_1
+    gens = [gn_pow(u1, -2), gn_pow(u1, -3)]
+    assert _subgroup_contains(gens, u1)
+    assert not _subgroup_contains(gens, gn_nu(n))
+    # n = 3: s_1 and u_2 pair to 1, so they generate nu
+    s1, v2 = gn_s1(3), gn_u(3, 2)
+    assert _subgroup_contains([s1, v2], gn_nu(3))
+    assert not _subgroup_contains([s1, gn_pow(v2, 2)], gn_nu(3))
+    assert not _subgroup_contains([s1, v2], gn_u(3, 1))
+
+
+# The solver that _subgroup_contains replaced, kept as its differential oracle:
+# an integer Hermite reduction with a transform matrix solves for the
+# exponents, the rebuilt product fixes the central bit, and a kernel-lattice
+# pass decides whether nu is reachable.
+
+
+def _hnf_with_transform(rows):
+    """Row echelon form over Z: (H, U, rank) with U . rows = H unimodular."""
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    h = [list(r) for r in rows]
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    rank = 0
+    for col in range(ncols):
+        while True:
+            nz = [r for r in range(rank, m) if h[r][col] != 0]
+            if not nz:
+                break
+            r0 = min(nz, key=lambda r: abs(h[r][col]))
+            h[rank], h[r0] = h[r0], h[rank]
+            u[rank], u[r0] = u[r0], u[rank]
+            if h[rank][col] < 0:
+                h[rank] = [-x for x in h[rank]]
+                u[rank] = [-x for x in u[rank]]
+            done = True
+            for r in range(rank + 1, m):
+                q = h[r][col] // h[rank][col]
+                if q:
+                    h[r] = [x - q * y for x, y in zip(h[r], h[rank])]
+                    u[r] = [x - q * y for x, y in zip(u[r], u[rank])]
+                if h[r][col] != 0:
+                    done = False
+            if done:
+                break
+        if rank < m and h[rank][col] != 0:
+            rank += 1
+        if rank == m:
+            break
+    return h, u, rank
+
+
+def _solve_integer_combination(rows, target):
+    """Integer coefficients c with sum c_i rows[i] = target, or None."""
+    if not rows:
+        return [] if all(x == 0 for x in target) else None
+    h, u, rank = _hnf_with_transform(rows)
+    t = list(target)
+    z = [0] * len(rows)
+    for r in range(rank):
+        col = next(c for c in range(len(t)) if h[r][c] != 0)
+        if t[col] % h[r][col] != 0:
+            return None
+        q = t[col] // h[r][col]
+        z[r] = q
+        t = [x - q * y for x, y in zip(t, h[r])]
+    if any(x != 0 for x in t):
+        return None
+    m = len(rows)
+    return [sum(z[r] * u[r][i] for r in range(m)) for i in range(m)]
+
+
+def _nu_reachable(gens):
+    n = gens[0].n
+    if any(q_value(a.vec, b.vec, n) for a, b in itertools.combinations(gens, 2)):
+        return True
+    _, u, rank = _hnf_with_transform([list(g.vec) for g in gens])
+    return any(gn_product(map(gn_pow, gens, row), n).bit for row in u[rank:])
+
+
+def _subgroup_contains_by_hnf(gens, target):
+    if not gens:
+        return target == gn_identity(target.n)
+    coeffs = _solve_integer_combination([list(g.vec) for g in gens], target.vec)
+    if coeffs is None:
+        return False
+    achieved = gn_product(map(gn_pow, gens, coeffs), target.n)
+    assert achieved.vec == target.vec
+    return achieved.bit == target.bit or _nu_reachable(gens)
+
+
+def test_subgroup_membership_matches_the_hnf_solver():
+    rng = random.Random(59)
+    answers = set()
+    for _ in range(2000):
+        n = rng.randint(3, 8)
+        rank = rng.randint(1, n)  # generators confined to the first coordinates
+        small = [GnElement(n, rng.randint(0, 1), tuple(rng.randint(-2, 2) if k < rank else 0
+                                                        for k in range(n)))
+                 for _ in range(rng.randint(0, 6))]
+        gens = small + [rng.choice(small) for _ in range(rng.randint(0, 2)) if small]
+        if rng.random() < 0.5 and gens:
+            # a target inside the subgroup
+            target = gn_product((gn_pow(rng.choice(gens), rng.randint(-2, 2))
+                                 for _ in range(rng.randint(0, 4))), n)
+            target = gn_mul(target, gn_nu(n)) if rng.random() < 0.3 else target
+        else:
+            target = GnElement(n, rng.randint(0, 1), tuple(rng.randint(-1, 1) if k < rank else 0
+                                                           for k in range(n)))
+        expected = _subgroup_contains_by_hnf(gens, target)
+        assert _subgroup_contains(gens, target) == expected, (gens, target)
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_conjugated_variant_of_canonical_prime():
@@ -280,7 +435,7 @@ def test_conjugated_variant_of_canonical_prime():
     G = GnInstance(n)
     pair = canonical_prime(n)
     b = BraidWord(n, (2,))
-    h2 = act_by_word(G, pair.h, b)
+    h2 = act_by(G, pair.h, b.letters)
     assert h2 == normal_form(BraidWord(n, (1, 1, -2, -2))).g
     assert h2 == GnElement(n, 1, (0, -1, -1, 0, 0))
     support = ht_conjugate(pair.ht, b)

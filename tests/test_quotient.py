@@ -1,5 +1,9 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -257,3 +261,16 @@ def test_normal_form_distinguishes_bit():
     assert nf1.g.vec == nf2.g.vec
     assert nf1.g.bit != nf2.g.bit
     assert gn_mul(nf2.g, gn_nu(n)) == nf1.g
+
+
+def test_importing_the_quotient_leaves_the_primes_layer_unloaded():
+    # The package imports no submodule of its own, so a quotient user does
+    # not pay for compiling the prime-element checkers.
+    import tbraid.quotient
+
+    src = str(Path(tbraid.quotient.__file__).resolve().parents[1])
+    code = "import sys, tbraid.quotient\nprint('tbraid.primes' in sys.modules)\n"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

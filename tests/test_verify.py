@@ -3,7 +3,7 @@
 import contextlib
 import io
 
-from tbraid import verify
+from tbraid import quotient, verify
 from tbraid.braid import frame, inv_word
 from tbraid.cli import run
 from tbraid.gn import gn_s1, gn_u
@@ -109,6 +109,17 @@ def test_a_wrong_section_fails_exactly_the_checks_that_use_it(monkeypatch):
         assert list(checks) == SUITE_CHECKS[name], name
         for check, passed in checks.items():
             assert passed is ((name, check) not in uses_section), (name, check)
+
+
+def test_kernel_suite_rejects_a_scan_that_trivialises_even_words(monkeypatch):
+    # Every even-length word gets the trivial normal form, so in_kernel
+    # accepts even words whose permutation or exponent sum is nontrivial.
+    real = quotient._scan
+    monkeypatch.setattr(quotient, "_scan", lambda start, letters: (
+        quotient._identity(start.n) if len(letters) % 2 == 0 else real(start, letters)))
+    checks = verify.kernel_suite(20, 0)
+    assert checks["non-kernel-rejected"] is False
+    assert checks["quadrangle-conjugates"] and checks["transversal-conjugates"]
 
 
 def test_verify_command_reports_a_failing_suite(monkeypatch):
