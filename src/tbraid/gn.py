@@ -73,17 +73,6 @@ class GnElement:
 
 
 @lru_cache(maxsize=None)
-def q_form(n: int) -> tuple[tuple[int, ...], ...]:
-    """The pairing Q as a symmetric 0/1 matrix on indices 0..n-1, where index
-    0 is S_1 and index i >= 1 is V_i."""
-    q = [[0] * n for _ in range(n)]
-    q[0][2] = q[2][0] = 1
-    for i in range(1, n - 1):
-        q[i][i + 1] = q[i + 1][i] = 1
-    return tuple(tuple(row) for row in q)
-
-
-@lru_cache(maxsize=None)
 def _q_pairs(n: int) -> tuple[tuple[int, int], ...]:
     """Index pairs (k, j) with k > j and Q[k][j] = 1."""
     return ((2, 0),) + tuple((i + 1, i) for i in range(1, n - 1))
@@ -269,14 +258,15 @@ class AffineAction(NamedTuple):
     odd are stored: X_i moves the generators i-1, i, i+1 (and 0 for X_2), so
     every list is O(1) long.
 
-    rows:     (j, ((k, c), ...)): the new vec[j] is the sum of c * vec[k];
-              every coordinate without a row is unchanged.
+    j, row:   the one coordinate the action rewrites, j = i, and its new
+              value, the sum of c * vec[k] over row = ((k, c), ...).
     linear:   the k with b_k odd.
     diagonal: the k with beta(I_k, I_k) odd.
     cross:    the pairs k < l with beta(I_k, I_l) odd.
     """
 
-    rows: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    j: int
+    row: tuple[tuple[int, int], ...]
     linear: tuple[int, ...]
     diagonal: tuple[int, ...]
     cross: tuple[tuple[int, int], ...]
@@ -292,9 +282,7 @@ def apply_affine(action: AffineAction, bit: int, vec: list[int]) -> int:
         bit += v * (v - 1) >> 1
     for k, l in action.cross:
         bit += vec[k] * vec[l]
-    new = [sum(c * vec[k] for k, c in row) for _, row in action.rows]
-    for (j, _), x in zip(action.rows, new):
-        vec[j] = x
+    vec[action.j] = sum([c * vec[k] for k, c in action.row])
     return bit & 1
 
 
@@ -309,10 +297,11 @@ def affine_action(n: int, i: int, sign: int) -> AffineAction:
     units = [gn_generator(n, k) for k in range(n)]
     moved = [k for k in range(n) if images[k] != units[k]]
     vecs = [img.vec for img in images]
-    # Unmoved generators have b_k = 0 and beta(e_k, e_l) = 0 for k <= l.
+    # Unmoved generators have b_k = 0 and beta(e_k, e_l) = 0 for k <= l, and
+    # the checks below fail if an image moves a coordinate other than i.
     action = AffineAction(
-        rows=tuple((j, tuple((k, vecs[k][j]) for k in sorted({j, *moved}) if vecs[k][j]))
-                   for j in range(n) if any(vecs[k][j] != units[k].vec[j] for k in moved)),
+        j=i,
+        row=tuple((k, vecs[k][i]) for k in sorted({i, *moved}) if vecs[k][i]),
         linear=tuple(k for k in moved if images[k].bit),
         diagonal=tuple(k for k in moved if beta(vecs[k], vecs[k], n)),
         cross=tuple((k, l) for k in range(n) for l in range(k + 1, n)

@@ -5,8 +5,9 @@ A group G together with a right action of TB_n by automorphisms is called an
 action group here.  The checkers use exactly these members of it: n,
 identity(), mul(a, b), inv(a), eq(a, b), apply(g, i, sign) (the action of
 the letter X_i^sign), generating_set(), degree_zero_generators() (the default
-targets of condition 0 of check_prop71) and subgroup_contains(gens, t)
-(exact membership).  GnInstance, the coordinate group, is the built-in one.
+targets of condition 0 of check_prop71) and subgroup_membership(gens) (the
+exact membership test t -> bool of the subgroup generated by gens).
+GnInstance, the coordinate group, is the built-in one.
 
 An element g of such a group is prime with supporting half-twist X and
 central element tau (tau central, tau^2 = 1, fixed by the action) when
@@ -37,9 +38,10 @@ bounded orbit, with the bound recorded in the verdict).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import random
-from typing import Any, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .braid import (
     BraidWord,
@@ -96,8 +98,12 @@ class GnInstance:
     def degree_zero_generators(self) -> list[GnElement]:
         return [g for g in self.generating_set() if self.in_degree_zero(g)] + [gn_nu(self.n)]
 
+    def subgroup_membership(self, generators: Sequence[GnElement]) -> Callable[[GnElement], bool]:
+        """Membership in the subgroup generated by generators, reduced once."""
+        return functools.partial(_reduced_contains, *_reduce_subgroup(list(generators)))
+
     def subgroup_contains(self, generators: Sequence[GnElement], target: GnElement) -> bool:
-        return _subgroup_contains(list(generators), target)
+        return self.subgroup_membership(generators)(target)
 
 
 def act_by(G, g, letters: Iterable[int]):
@@ -278,13 +284,10 @@ def check_prop71(G, S, generators: Sequence | None = None, bound: int = 3,
     if generators is None:
         generators = G.degree_zero_generators()
 
-    orbit = _bounded_orbit(G, S, bound)
-    cond0 = True
-    for target in generators:
-        if not G.subgroup_contains(orbit, target):
-            cond0 = False
-            witness["0"] = "a configured generator is outside the bounded orbit subgroup"
-            break
+    contains = G.subgroup_membership(_bounded_orbit(G, S, bound))
+    cond0 = all(contains(target) for target in generators)
+    if not cond0:
+        witness["0"] = "a configured generator is outside the bounded orbit subgroup"
 
     cond1a, cond1b, cond3 = _frame_identities(G, S)
     tau = make_pair(G, S, frame(n, 1)).tau
@@ -321,19 +324,19 @@ def _bounded_orbit(G, S, bound: int) -> list:
 # exact subgroup membership in the coordinate group
 
 
-def _subgroup_contains(gens: Sequence[GnElement], target: GnElement) -> bool:
-    """Whether target lies in the subgroup H of G(n) generated by gens.
+def _reduce_subgroup(gens: Sequence[GnElement]) -> tuple[list[tuple[int, GnElement]], bool]:
+    """The subgroup H of G(n) generated by gens, reduced once: its pivots
+    (col, p), one per column in increasing order, and whether nu lies in H.
 
     Euclid's reduction runs column by column on the elements themselves, with
     the row operation g <- g . p^-q for a pivot p.  The invariant: every row
-    is an element of H, central bit included, and the rows generate H.  The
-    target, reduced by the pivots, reaches vector 0 exactly when it lies in H
-    up to the centre, and is then 1 or nu.  nu lies in H when a row reduced
-    to nu or two pivots have Q = 1 (their commutator is nu); otherwise the
-    pivots commute and independent vectors determine their products.
+    is an element of H, central bit included, and the rows generate H.  nu
+    lies in H when a leftover row (vector 0) is nu or two pivots have Q = 1
+    (their commutator is nu); otherwise the pivots commute and independent
+    vectors determine their products.
     """
     rows, pivots = list(gens), []
-    for col in range(target.n):
+    for col in range(gens[0].n if gens else 0):
         live = [g for g in rows if g.vec[col]]
         rows = [g for g in rows if not g.vec[col]]
         while live:
@@ -346,16 +349,22 @@ def _subgroup_contains(gens: Sequence[GnElement], target: GnElement) -> bool:
                 live.append(p)
             else:
                 pivots.append((col, p))
+    nu_in_h = any(g.bit for g in rows) or any(
+        q_value(a.vec, b.vec, a.n) for (_, a), (_, b) in itertools.combinations(pivots, 2))
+    return pivots, nu_in_h
+
+
+def _reduced_contains(pivots: Sequence[tuple[int, GnElement]], nu_in_h: bool,
+                      target: GnElement) -> bool:
+    """Whether target lies in H: reduced by the pivots, it reaches vector 0
+    exactly when it lies in H up to the centre, and is then 1 or nu."""
     t = target
     for col, p in pivots:
         q, r = divmod(t.vec[col], p.vec[col])
         if r:
             return False
         t = gn_mul(t, gn_pow(p, -q))
-    if any(t.vec):
-        return False
-    return not t.bit or any(g.bit for g in rows) or any(
-        q_value(a.vec, b.vec, t.n) for (_, a), (_, b) in itertools.combinations(pivots, 2))
+    return not any(t.vec) and (not t.bit or nu_in_h)
 
 
 # ---------------------------------------------------------------------------

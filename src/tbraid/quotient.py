@@ -22,13 +22,12 @@ generator action on g), and whenever the letter folds into the section
 (a positive letter at a descent, or an inverse letter at an ascent) the
 squared-generator coordinate s_{i,i+1}^{+-1} is absorbed into g on the left.
 
-The scan state is flat: the one-line permutation with its inverse, and g as
-a mutable bit plus a list of coordinates.  Each letter applies the sparse
-closed-form action of gn.affine_action in place and, when it folds, adds the
-sparse left factor s_{i,i+1}^{+-1} (its bit, the coordinates its cocycle
-reads, and its nonzero entries); both are derived once per letter and cached,
-so the cost per letter does not grow with n.  One GnElement is built at the
-end.
+The scan state is flat: the position of each value in the permutation, a
+bit and a list of coordinates.  Each letter is one flat step of _scan_table,
+applied inline: the closed-form action (O(1) bit terms and one rewritten
+coordinate) and, when it folds, the sparse left factor s_{i,i+1}^{+-1}, whose
+up to i+1 nonzero coordinates make a letter X_i cost O(i).  The one-line
+images and one GnElement are built at the end.
 
 The normal form of a word is its scan from the identity, and the group law
 never leaves the coordinates: with T = tits_lift,
@@ -49,26 +48,9 @@ from __future__ import annotations
 import dataclasses
 from functools import lru_cache
 
-from .braid import (
-    BraidWord,
-    Perm,
-    concat,
-    inv_word,
-    inversions,
-    power_word,
-    tits_lift,
-    z_ij,
-)
-from .gn import (
-    GnElement,
-    affine_action,
-    apply_affine,
-    beta,
-    gn_identity,
-    gn_inv,
-    gn_mul,
-    s_ij,
-)
+from .braid import (BraidWord, Perm, concat, inv_word, inversions, power_word, tits_lift,
+                    z_ij)
+from .gn import GnElement, affine_action, beta, gn_identity, gn_inv, gn_mul, s_ij
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,42 +105,60 @@ def c_word(n: int) -> BraidWord:
 
 
 @lru_cache(maxsize=None)
-def _scan_step(n: int, letter: int) -> tuple:
-    """What the scan does for the letter X_i^sign: the closed-form action of
-    the letter and the sparse left factor f = s_{i,i+1}^sign it may fold in,
-    as (bit of f, the b with beta(f, e_b) odd, nonzero coordinates of f)."""
-    i, sign = abs(letter), (1 if letter > 0 else -1)
-    s = s2_table(n)[i - 1]
-    f = s if sign > 0 else gn_inv(s)
-    odd = tuple(b for b in range(n) if beta(f.vec, [int(k == b) for k in range(n)], n))
-    fold = (f.bit, odd, tuple((k, x) for k, x in enumerate(f.vec) if x))
-    return affine_action(n, i, sign), fold
+def _scan_table(n: int) -> dict[int, tuple]:
+    """The scan's step for each letter X_i^sign, keyed by letter: the flat tuple
+    (i, sign > 0, j, row, linear, diagonal, cross, fold_bit, fold_beta, fold_vec).
+    The action of gn.affine_action sets vec[j] to the sum of c * vec[k] over
+    row = ((k, c), ...) and adds the linear, diagonal and cross bit terms; the
+    fold adds f = s_{i,i+1}^sign: its bit, the b with beta(f, e_b) odd and its
+    nonzero coordinates."""
+    _require_quotient_n(n)
+    table = {}
+    for i, s in enumerate(s2_table(n), 1):
+        for sign in (1, -1):
+            action = affine_action(n, i, sign)
+            f = s if sign > 0 else gn_inv(s)
+            fold_beta = tuple(b for b in range(n)
+                              if beta(f.vec, [int(k == b) for k in range(n)], n))
+            fold_vec = tuple((k, x) for k, x in enumerate(f.vec) if x)
+            table[sign * i] = (i, sign > 0, action.j, action.row, action.linear,
+                               action.diagonal, action.cross, f.bit, fold_beta, fold_vec)
+    return table
 
 
 def _scan(start: TbnNormalForm, letters: tuple[int, ...]) -> TbnNormalForm:
     """The normal form of start . letters: the right action of the letters on
     normal forms, keeping the loop invariant above."""
     n = start.n
-    _require_quotient_n(n)
-    steps = {letter: _scan_step(n, letter) for letter in set(letters)}
-    a = list(start.perm.images)    # one-line images of the running permutation
-    pos = [0] + sorted(range(1, n + 1), key=lambda k: a[k - 1])  # pos[v] = position of v
+    table, images = _scan_table(n), start.perm.images
+    pos = [0] + sorted(range(1, n + 1), key=lambda k: images[k - 1])  # pos[v] = position of v
     bit, vec = start.g.bit, list(start.g.vec)  # g = nu^bit . s_1^vec[0] . u_1^vec[1] ...
     for letter in letters:
-        i = abs(letter)
-        action, (fold_bit, fold_beta, fold_vec) = steps[letter]
-        bit = apply_affine(action, bit, vec)
-        ascending = pos[i] < pos[i + 1]
+        i, positive, j, row, linear, diagonal, cross, fold_bit, fold_beta, fold_vec = table[letter]
+        for k in linear:
+            bit += vec[k]
+        for k in diagonal:
+            v = vec[k]
+            bit += v * (v - 1) >> 1
+        for k, l in cross:
+            bit += vec[k] * vec[l]
+        x = 0
+        for k, c in row:
+            x += c * vec[k]
+        vec[j] = x
         pi, pj = pos[i], pos[i + 1]
-        a[pi - 1], a[pj - 1] = a[pj - 1], a[pi - 1]
         pos[i], pos[i + 1] = pj, pi
         # A letter that does not extend the positive section leaves a squared
         # generator behind; absorb its coordinate into the pure part.
-        if (letter > 0) != ascending:
-            bit += fold_bit + sum([vec[b] for b in fold_beta])
-            for k, x in fold_vec:
-                vec[k] += x
-    return TbnNormalForm(Perm(n, tuple(a)), GnElement(n, bit & 1, tuple(vec)))
+        if positive != (pi < pj):
+            bit += fold_bit
+            for k in fold_beta:
+                bit += vec[k]
+            for k, c in fold_vec:
+                vec[k] += c
+        bit &= 1
+    images = tuple(sorted(range(1, n + 1), key=pos.__getitem__))  # the one-line images
+    return TbnNormalForm(Perm(n, images), GnElement(n, bit, tuple(vec)))
 
 
 def normal_form(w: BraidWord) -> TbnNormalForm:

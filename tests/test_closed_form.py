@@ -1,10 +1,12 @@
-"""Differential tests of the closed-form generator action and the flat scan.
+"""Differential tests of the closed-form generator action and the fused scan.
 
 The oracles are the generic paths the closed form replaced: `_apply_images`
-(one gn_pow and one gn_mul per coordinate) for the action, and the
-letter-by-letter scan over GnElements below for the normal form.  Mutants of
-the derived tables that drop the diagonal C(v, 2) terms or the cross terms
-must be caught by the same comparisons.
+(one gn_pow and one gn_mul per coordinate) for the action, the
+letter-by-letter scan over GnElements below for the normal form, and the
+retired per-letter loop over `apply_affine` for the fused scan from arbitrary
+start states.  Mutants of the derived tables (the action's diagonal C(v, 2)
+and cross terms, and every field of a fused scan step) must be caught by the
+same comparisons.
 """
 
 import os
@@ -35,6 +37,7 @@ from tbraid.gn import (
     action_inverse_images,
     affine_action,
     apply_affine,
+    beta,
     gn_identity,
     gn_inv,
     gn_mul,
@@ -105,8 +108,7 @@ def test_closed_form_is_sparse():
             for sign in (1, -1):
                 action = affine_action(n, i, sign)
                 moved = {i - 1, i, i + 1} | ({0} if i == 2 else set())
-                [(j, row)] = action.rows
-                assert j == i and {k for k, _ in row} <= moved
+                assert action.j == i and {k for k, _ in action.row} <= moved
                 assert set(action.linear) | set(action.diagonal) <= moved
                 assert {k for pair in action.cross for k in pair} <= moved
 
@@ -174,13 +176,96 @@ def test_normal_form_matches_reference_scan():
         assert normal_form(w) == reference_normal_form(w), w
 
 
-@pytest.mark.parametrize("dropped", ["diagonal", "cross"])
-def test_scan_mutants_are_caught(dropped, monkeypatch):
-    real = quotient._scan_step
+# The fields of a fused scan step (see quotient._scan_table) and, for each,
+# a mutant of its value.
+STEP_FIELDS = ("i", "positive", "j", "row", "linear", "diagonal", "cross",
+               "fold_bit", "fold_beta", "fold_vec")
+STEP_MUTANTS = {
+    "linear": lambda linear: (),
+    "diagonal": lambda diagonal: (),
+    "cross": lambda cross: (),
+    "row": lambda row: ((row[0][0], row[0][1] + 1),) + row[1:],
+    "fold_bit": lambda bit: 1 - bit,
+    "fold_beta": lambda fold_beta: (),
+    "fold_vec": lambda fold_vec: (),
+}
 
-    def mutant(n, letter):
-        action, fold = real(n, letter)
-        return action._replace(**{dropped: ()}), fold
 
-    monkeypatch.setattr(quotient, "_scan_step", mutant)
+@pytest.mark.parametrize("field", sorted(STEP_MUTANTS))
+def test_scan_mutants_are_caught(field, monkeypatch):
+    # _scan looks the table up on every call, so the uncached mutant below is
+    # what it scans; a mutant that went unscanned would fail the assertion.
+    real, k, mutate = quotient._scan_table, STEP_FIELDS.index(field), STEP_MUTANTS[field]
+
+    def mutant(n):
+        return {letter: step[:k] + (mutate(step[k]),) + step[k + 1:]
+                for letter, step in real(n).items()}
+
+    monkeypatch.setattr(quotient, "_scan_table", mutant)
     assert any(normal_form(w) != reference_normal_form(w) for w in _scan_words())
+
+
+# The per-letter loop that the fused scan replaced: apply_affine on the
+# closed-form action, then the fold, with the one-line images kept alongside.
+def _retired_step(n, letter):
+    i, sign = abs(letter), (1 if letter > 0 else -1)
+    s = s2_table(n)[i - 1]
+    f = s if sign > 0 else gn_inv(s)
+    odd = tuple(b for b in range(n) if beta(f.vec, [int(k == b) for k in range(n)], n))
+    fold = (f.bit, odd, tuple((k, x) for k, x in enumerate(f.vec) if x))
+    return affine_action(n, i, sign), fold
+
+
+def retired_scan(start: TbnNormalForm, letters) -> TbnNormalForm:
+    n = start.n
+    if n < 4:
+        raise ValueError(f"the transversal quotient needs n >= 4, got {n}")
+    steps = {letter: _retired_step(n, letter) for letter in set(letters)}
+    a = list(start.perm.images)
+    pos = [0] + sorted(range(1, n + 1), key=lambda k: a[k - 1])
+    bit, vec = start.g.bit, list(start.g.vec)
+    for letter in letters:
+        i = abs(letter)
+        action, (fold_bit, fold_beta, fold_vec) = steps[letter]
+        bit = apply_affine(action, bit, vec)
+        ascending = pos[i] < pos[i + 1]
+        pi, pj = pos[i], pos[i + 1]
+        a[pi - 1], a[pj - 1] = a[pj - 1], a[pi - 1]
+        pos[i], pos[i + 1] = pj, pi
+        if (letter > 0) != ascending:
+            bit += fold_bit + sum([vec[b] for b in fold_beta])
+            for k, x in fold_vec:
+                vec[k] += x
+    return TbnNormalForm(Perm(n, tuple(a)), GnElement(n, bit & 1, tuple(vec)))
+
+
+def test_fused_scan_matches_the_retired_loop():
+    # Seeded non-identity start states at n = 4..20 and words of up to 2,000
+    # letters, compared every 100 letters, each stretch resumed from the
+    # oracle's state.  The states visited must leave [-4, 4] and take every
+    # residue mod 4 at every n.
+    rng = random.Random(67)
+    for n in range(4, 21):
+        values = set()
+        for length in (1, 9, 100, 700, 2000):
+            perm = Perm(n, tuple(rng.sample(range(1, n + 1), n)))
+            vec = tuple(rng.randint(-3, 3) for _ in range(n))
+            state = TbnNormalForm(perm, GnElement(n, rng.randint(0, 1), vec))
+            if state == quotient._identity(n):
+                state = TbnNormalForm(perm, gn_inv(s2_table(n)[0]))
+            letters = random_word(n, length, rng, min_len=length).letters
+            for cut in range(0, length, 100):
+                stretch = letters[cut:cut + 100]
+                expected = retired_scan(state, stretch)
+                assert quotient._scan(state, stretch) == expected, (n, state, stretch)
+                state = expected
+                values.update(state.g.vec)
+        assert {v % 4 for v in values} == {0, 1, 2, 3} and max(map(abs, values)) > 4, n
+    three = TbnNormalForm(Perm(3, (2, 1, 3)), GnElement(3, 1, (1, 0, -1)))
+    for scan in (quotient._scan, retired_scan):
+        with pytest.raises(ValueError):
+            scan(three, ())
+    with pytest.raises(ValueError):
+        quotient.tbn_mul(three, three)
+    with pytest.raises(ValueError):
+        quotient.tbn_inv(three)

@@ -25,6 +25,7 @@ from tbraid.gn import (
     embed,
     format_element,
     gn_commutator,
+    gn_generator,
     gn_identity,
     gn_inv,
     gn_mul,
@@ -33,10 +34,19 @@ from tbraid.gn import (
     gn_s1,
     gn_u,
     parse_element,
-    q_form,
     q_value,
     s_ij,
 )
+
+
+def q_form(n):
+    """The pairing Q as a symmetric 0/1 matrix on indices 0..n-1, where index
+    0 is S_1 and index i >= 1 is V_i: the presentation oracle's own copy."""
+    q = [[0] * n for _ in range(n)]
+    q[0][2] = q[2][0] = 1
+    for i in range(1, n - 1):
+        q[i][i + 1] = q[i + 1][i] = 1
+    return q
 
 
 def oracle_canonical(letters, n):
@@ -76,6 +86,10 @@ def test_q_form():
     assert q[1][2] == q[2][3] == q[3][4] == 1
     assert q[0][1] == q[0][3] == q[0][4] == q[1][3] == 0
     assert all(q[i][i] == 0 for i in range(5))
+    for n in (3, 5, 8):
+        units = [gn_generator(n, k).vec for k in range(n)]
+        q = q_form(n)
+        assert all(q_value(units[k], units[l], n) == q[k][l] for k in range(n) for l in range(n))
 
 
 def test_mul_examples():

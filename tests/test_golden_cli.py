@@ -1,0 +1,75 @@
+"""Pinned CLI output of the normal-form scan.
+
+`tb nf`, `tb eq --group tbn` and `tb kernel` at n = 4, 8 and 16 run on
+seeded 100- and 1,000-letter words, and their stdout and exit codes must
+match tests/golden_cli.txt byte for byte, so that a change to the scan
+cannot silently change an answer.  The words are drawn here with
+random.Random, independently of the package's own word generator; the
+kernel and not-equal cases insert a conjugated transversal commutator
+(trivial in TB_n) or the central word [X_1^2, X_2^2] (the element nu).
+"""
+
+import random
+from pathlib import Path
+
+from test_cli import invoke
+
+from tbraid.braid import transversal_commutator
+
+GOLDEN = Path(__file__).with_name("golden_cli.txt")
+NS = (4, 8, 16)
+LENGTHS = (100, 100, 1000, 1000)
+
+
+def _word(rng, n, length):
+    return [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]
+
+
+def _inv(letters):
+    return [-x for x in reversed(letters)]
+
+
+def _text(letters):
+    return " ".join(str(x) for x in letters)
+
+
+def cases():
+    """(name, argv) for every pinned command, in a fixed order."""
+    rng = random.Random(20261019)
+    for n in NS:
+        central = [1, 1, 2, 2, -1, -1, -2, -2]
+        relator = list(transversal_commutator(n).letters)
+        for k, length in enumerate(LENGTHS):
+            w = _word(rng, n, length)
+            b = _word(rng, n, 12)
+            cut = rng.randint(0, length)
+            same = w[:cut] + _inv(b) + relator + b + w[cut:]  # equal to w in TB_n
+            other = w[:cut] + central + w[cut:]               # w . nu, up to conjugation
+            head = ["--n", str(n)]
+            tag = f"n{n}.L{length}.{k}"
+            yield f"{tag}.nf", head + ["--json", "nf", _text(w)]
+            yield f"{tag}.nf-human", head + ["nf", _text(same)]
+            yield f"{tag}.eq-same", head + ["--json", "eq", "--group", "tbn", _text(w), _text(same)]
+            yield f"{tag}.eq-nu", head + ["--json", "eq", "--group", "tbn", _text(w), _text(other)]
+            yield f"{tag}.eq-human", head + ["eq", "--group", "tbn", _text(same), _text(other)]
+            yield f"{tag}.kernel-word", head + ["--json", "kernel", _text(w)]
+            yield f"{tag}.kernel-yes", head + ["--json", "kernel", _text(same + _inv(w))]
+            yield f"{tag}.kernel-nu", head + ["kernel", _text(other + _inv(w))]
+
+
+def render():
+    """The golden file's text: one block per case, name, exit code, stdout."""
+    blocks = []
+    for name, argv in cases():
+        code, out, err = invoke(argv)
+        assert err == "", (name, err)
+        blocks.append(f"== {name} exit={code}\n{out}")
+    return "".join(blocks)
+
+
+def test_scan_cli_output_is_pinned():
+    expected = GOLDEN.read_text().split("== ")
+    actual = render().split("== ")
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got == want

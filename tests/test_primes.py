@@ -31,7 +31,8 @@ from tbraid.primes import (
     GnInstance,
     PolarizedPair,
     _finish_report,
-    _subgroup_contains,
+    _reduce_subgroup,
+    _reduced_contains,
     act_by,
     axiom_spot_check,
     canonical_prime,
@@ -283,6 +284,10 @@ def test_prop71_with_explicit_generators():
     assert report.verdict == "pass-up-to-bound(3)"
 
 
+def _subgroup_contains(gens, target):
+    return _reduced_contains(*_reduce_subgroup(gens), target)
+
+
 def test_subgroup_membership():
     n = 5
     u1, u2, u3 = gn_u(n, 1), gn_u(n, 2), gn_u(n, 3)
@@ -426,6 +431,22 @@ def test_subgroup_membership_matches_the_hnf_solver():
         assert _subgroup_contains(gens, target) == expected, (gens, target)
         answers.add(expected)
     assert answers == {True, False}
+
+
+def test_one_reduction_decides_every_target():
+    # check_prop71 reduces the orbit once and tests every target against it.
+    rng = random.Random(61)
+    for _ in range(200):
+        n = rng.randint(4, 8)
+        G = GnInstance(n)
+        gens = [GnElement(n, rng.randint(0, 1), tuple(rng.randint(-2, 2) for _ in range(n)))
+                for _ in range(rng.randint(0, 4))]
+        contains = G.subgroup_membership(gens)
+        targets = G.degree_zero_generators() + [gn_product(gens, n)] + [
+            GnElement(n, rng.randint(0, 1), tuple(rng.randint(-1, 1) for _ in range(n)))]
+        for target in targets:
+            expected = _subgroup_contains_by_hnf(gens, target)
+            assert contains(target) == G.subgroup_contains(gens, target) == expected
 
 
 def test_conjugated_variant_of_canonical_prime():
