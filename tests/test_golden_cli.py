@@ -1,4 +1,5 @@
-"""Pinned CLI output of the normal-form scan.
+"""Pinned CLI output of the normal-form scan, the G(n) action and the checks
+built on them.
 
 `tb nf`, `tb eq --group tbn` and `tb kernel` at n = 4, 8 and 16 run on
 seeded 100- and 1,000-letter words, and their stdout and exit codes must
@@ -7,6 +8,11 @@ cannot silently change an answer.  The words are drawn here with
 random.Random, independently of the package's own word generator; the
 kernel and not-equal cases insert a conjugated transversal commutator
 (trivial in TB_n) or the central word [X_1^2, X_2^2] (the element nu).
+
+`tb act` (seeded elements under the same kinds of words and the quadrangle
+relator), `tb prime-check` and `tb prop71-check --bound 3` (seeded elements
+and the canonical prime) and one `tb verify all` run pin the generator
+action and the layers that read it.
 """
 
 import random
@@ -14,11 +20,12 @@ from pathlib import Path
 
 from test_cli import invoke
 
-from tbraid.braid import transversal_commutator
+from tbraid.braid import quadrangle_relator, transversal_commutator
 
 GOLDEN = Path(__file__).with_name("golden_cli.txt")
 NS = (4, 8, 16)
 LENGTHS = (100, 100, 1000, 1000)
+PRIME_NS = (5, 8, 16)
 
 
 def _word(rng, n, length):
@@ -31,6 +38,16 @@ def _inv(letters):
 
 def _text(letters):
     return " ".join(str(x) for x in letters)
+
+
+def _element(rng, n, bound=9):
+    vec = ",".join(str(rng.randint(-bound, bound)) for _ in range(n))
+    return f"{rng.randint(0, 1)};{vec}"
+
+
+def _canonical_prime(n, bit=1):
+    """The canonical prime's coordinate nu . u_1^-1 in the element format."""
+    return f"{bit};0,-1" + ",0" * (n - 2)
 
 
 def cases():
@@ -55,6 +72,40 @@ def cases():
             yield f"{tag}.kernel-word", head + ["--json", "kernel", _text(w)]
             yield f"{tag}.kernel-yes", head + ["--json", "kernel", _text(same + _inv(w))]
             yield f"{tag}.kernel-nu", head + ["kernel", _text(other + _inv(w))]
+    yield from action_cases()
+    yield from prime_cases()
+    yield "verify-all.n5", ["--n", "5", "--json", "verify", "all", "--cases", "50", "--seed", "7"]
+
+
+def action_cases():
+    rng = random.Random(20261020)
+    for n in NS:
+        head = ["--n", str(n)]
+        relator = _text(quadrangle_relator(n).letters)
+        for k, length in enumerate(LENGTHS):
+            g = _element(rng, n)
+            w = _word(rng, n, length)
+            tag = f"act.n{n}.L{length}.{k}"
+            yield f"{tag}.word", head + ["act", g, _text(w)]
+            yield f"{tag}.word-json", head + ["--json", "act", g, _text(w)]
+            yield f"{tag}.round-trip", head + ["act", g, _text(w + _inv(w))]
+            yield f"{tag}.relator", head + ["act", g, relator]
+
+
+def prime_cases():
+    rng = random.Random(20261021)
+    for n in PRIME_NS:
+        head = ["--n", str(n)]
+        identity, nu = "0;" + ",".join("0" * n), "1;" + ",".join("0" * n)
+        elements = [_canonical_prime(n), _canonical_prime(n, 0)]
+        elements += [_element(rng, n, bound=3) for _ in range(3)]
+        for k, u in enumerate(elements):
+            tau = nu if k < 2 else rng.choice((identity, nu))
+            tag = f"prime.n{n}.{k}"
+            yield f"{tag}.prime-check", head + ["prime-check", u, tau]
+            yield f"{tag}.prime-check-json", head + ["--json", "prime-check", u, tau]
+            yield f"{tag}.prop71", head + ["--bound", "3", "prop71-check", u]
+            yield f"{tag}.prop71-json", head + ["--json", "prop71-check", u, "--bound", "3"]
 
 
 def render():
