@@ -193,6 +193,14 @@ def _cmd_dump_tables(args) -> int:
     return 0
 
 
+def count(text: str) -> int:
+    """The argparse type of --cases and --bound: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tb",
@@ -202,9 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=None, help="number of strands")
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     parser.add_argument("--seed", type=int, default=0, help="randomness seed")
-    parser.add_argument("--cases", type=int, default=200,
+    parser.add_argument("--cases", type=count, default=200,
                         help="randomized-suite size for verify")
-    parser.add_argument("--bound", type=int, default=3,
+    parser.add_argument("--bound", type=count, default=3,
                         help="orbit bound for the generation criterion")
     parser.add_argument("--dump-tables", action="store_true",
                         help="print the coordinate and action tables and exit")
@@ -251,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("element")
     # A subcommand copy of a global option leaves the global value in place
     # unless it is given, and then wins.
-    p.add_argument("--bound", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--bound", type=count, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_prop71_check)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=sorted(SUITES) + ["all"])
-    p.add_argument("--cases", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--cases", type=count, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 

@@ -36,9 +36,11 @@ i+1 (and 0 for X_2), and bit
         + sum over k < l of v_k v_l beta(I_k, I_l)   (mod 2),
 
 a quadratic form in which only terms with a moved generator (i-1, i, i+1,
-and 0 for X_2) are nonzero.  affine_action derives these O(1) terms once per
+and 0 for X_2) are nonzero.  action_step derives these O(1) terms once per
 letter from the generator images, which stay the single source of truth, and
-checks them against the generic product of powers (_apply_images) before use.
+checks them against the generic product of powers (_apply_images) before use;
+its flat tuple is the one runtime form of the action, applied by
+act_generator and act_word here and by the scan in the quotient module.
 
 Elements also serve as the pure-braid coordinates of the quotient's normal
 form: s_ij below is the image of the squared half-twist with endpoints
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .braid import BraidWord
 
@@ -252,70 +254,63 @@ def action_inverse_images(n: int, i: int) -> tuple[GnElement, ...]:
 # the generator action in closed form
 
 
-class AffineAction(NamedTuple):
-    """The closed-form action of one letter X_i^sign (see the module
-    docstring) as a sparse map on (bit, vec).  Only the terms that can be
-    odd are stored: X_i moves the generators i-1, i, i+1 (and 0 for X_2), so
-    every list is O(1) long.
+@lru_cache(maxsize=None)
+def action_step(n: int, letter: int) -> tuple:
+    """The closed form of the letter X_i^sign = letter (see the module
+    docstring), the one form of the action that act_generator, act_word and
+    the quotient's scan apply: the flat tuple (i, row, linear, diagonal,
+    cross), every part O(1) long because X_i moves only the generators i-1,
+    i, i+1 (and 0 for X_2).
 
-    j, row:   the one coordinate the action rewrites, j = i, and its new
-              value, the sum of c * vec[k] over row = ((k, c), ...).
+    i, row:   the one coordinate the action rewrites and its new value, the
+              sum of c * vec[k] over row = ((k, c), ...).
     linear:   the k with b_k odd.
     diagonal: the k with beta(I_k, I_k) odd.
     cross:    the pairs k < l with beta(I_k, I_l) odd.
+
+    It is read off the generator images (action_images or
+    action_inverse_images) and checked against _apply_images on O(n)
+    elements before it is returned.
     """
-
-    j: int
-    row: tuple[tuple[int, int], ...]
-    linear: tuple[int, ...]
-    diagonal: tuple[int, ...]
-    cross: tuple[tuple[int, int], ...]
-
-
-def apply_affine(action: AffineAction, bit: int, vec: list[int]) -> int:
-    """Apply the action to nu^bit . vec, rewriting vec in place; return the
-    new bit."""
-    for k in action.linear:
-        bit += vec[k]
-    for k in action.diagonal:
-        v = vec[k]
-        bit += v * (v - 1) >> 1
-    for k, l in action.cross:
-        bit += vec[k] * vec[l]
-    vec[action.j] = sum([c * vec[k] for k, c in action.row])
-    return bit & 1
-
-
-@lru_cache(maxsize=None)
-def affine_action(n: int, i: int, sign: int) -> AffineAction:
-    """The closed form of the X_i^sign action, read off the generator images
-    (action_images or action_inverse_images) and checked against
-    _apply_images on O(n) elements before it is returned."""
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +-1, got {sign}")
+    i, sign = abs(letter), (1 if letter > 0 else -1)
     images = action_images(n, i) if sign > 0 else action_inverse_images(n, i)
     units = [gn_generator(n, k) for k in range(n)]
     moved = [k for k in range(n) if images[k] != units[k]]
     vecs = [img.vec for img in images]
     # Unmoved generators have b_k = 0 and beta(e_k, e_l) = 0 for k <= l, and
     # the checks below fail if an image moves a coordinate other than i.
-    action = AffineAction(
-        j=i,
-        row=tuple((k, vecs[k][i]) for k in sorted({i, *moved}) if vecs[k][i]),
-        linear=tuple(k for k in moved if images[k].bit),
-        diagonal=tuple(k for k in moved if beta(vecs[k], vecs[k], n)),
-        cross=tuple((k, l) for k in range(n) for l in range(k + 1, n)
-                    if (k in moved or l in moved) and beta(vecs[k], vecs[l], n)),
-    )
+    cross = tuple((k, l) for k in range(n) for l in range(k + 1, n)
+                  if (k in moved or l in moved) and beta(vecs[k], vecs[l], n))
+    step = (i,
+            tuple((k, vecs[k][i]) for k in sorted({i, *moved}) if vecs[k][i]),
+            tuple(k for k in moved if images[k].bit),
+            tuple(k for k in moved if beta(vecs[k], vecs[k], n)),
+            cross)
     checks = units + [gn_pow(units[k], 2) for k in moved]
-    checks += [gn_mul(units[k], units[l]) for k, l in action.cross]
+    checks += [gn_mul(units[k], units[l]) for k, l in cross]
     for g in checks:
-        vec = list(g.vec)
-        bit = apply_affine(action, g.bit, vec)
-        if GnElement(n, bit, tuple(vec)) != _apply_images(images, g):
+        if _act_steps(g, (step,)) != _apply_images(images, g):
             raise AssertionError(
                 f"closed-form action of X_{i}^{sign} on G({n}) disagrees at {format_element(g)}")
-    return action
+    return step
+
+
+def _act_steps(g: GnElement, steps: Iterable[tuple]) -> GnElement:
+    """Apply the action steps (see action_step) to g in turn."""
+    bit, vec = g.bit, list(g.vec)
+    for i, row, linear, diagonal, cross in steps:
+        for k in linear:
+            bit += vec[k]
+        for k in diagonal:
+            v = vec[k]
+            bit += v * (v - 1) >> 1
+        for k, l in cross:
+            bit += vec[k] * vec[l]
+        x = 0
+        for k, c in row:
+            x += c * vec[k]
+        vec[i] = x
+    return GnElement(g.n, bit & 1, tuple(vec))
 
 
 def act_generator(g: GnElement, i: int, sign: int) -> GnElement:
@@ -323,7 +318,7 @@ def act_generator(g: GnElement, i: int, sign: int) -> GnElement:
 
     It replaces coordinate i of the vector by a linear combination of
     coordinates i-1, i, i+1 (and 0 for X_2), and adds to the bit a mod-2
-    quadratic form in those coordinates; see AffineAction.
+    quadratic form in those coordinates: the step action_step(n, sign * i).
 
     >>> act_generator(GnElement(4, 0, (1, 0, 0, 0)), 2, 1)
     GnElement(n=4, bit=1, vec=(1, 0, 1, 0))
@@ -332,20 +327,18 @@ def act_generator(g: GnElement, i: int, sign: int) -> GnElement:
     >>> act_generator(GnElement(4, 0, (1, 0, 0, 0)), 3, 1)
     GnElement(n=4, bit=0, vec=(1, 0, 0, 0))
     """
-    vec = list(g.vec)
-    bit = apply_affine(affine_action(g.n, i, sign), g.bit, vec)
-    return GnElement(g.n, bit, tuple(vec))
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +-1, got {sign}")
+    if not 1 <= i <= g.n - 1:
+        raise ValueError(f"generator index {i} out of range for n = {g.n}")
+    return _act_steps(g, (action_step(g.n, sign * i),))
 
 
 def act_word(g: GnElement, w: BraidWord) -> GnElement:
     """Right action of a braid word, folded letter by letter."""
     if g.n != w.n:
         raise ValueError(f"mismatched sizes {g.n} and {w.n}")
-    vec = list(g.vec)
-    bit = g.bit
-    for letter in w.letters:
-        bit = apply_affine(affine_action(g.n, abs(letter), 1 if letter > 0 else -1), bit, vec)
-    return GnElement(g.n, bit, tuple(vec))
+    return _act_steps(g, [action_step(g.n, letter) for letter in w.letters])
 
 
 # ---------------------------------------------------------------------------

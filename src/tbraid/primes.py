@@ -102,9 +102,6 @@ class GnInstance:
         """Membership in the subgroup generated by generators, reduced once."""
         return functools.partial(_reduced_contains, *_reduce_subgroup(list(generators)))
 
-    def subgroup_contains(self, generators: Sequence[GnElement], target: GnElement) -> bool:
-        return self.subgroup_membership(generators)(target)
-
 
 def act_by(G, g, letters: Iterable[int]):
     """Fold the generator action over a letter sequence (left to right)."""

@@ -24,8 +24,8 @@ squared-generator coordinate s_{i,i+1}^{+-1} is absorbed into g on the left.
 
 The scan state is flat: the position of each value in the permutation, a
 bit and a list of coordinates.  Each letter is one flat step of _scan_table,
-applied inline: the closed-form action (O(1) bit terms and one rewritten
-coordinate) and, when it folds, the sparse left factor s_{i,i+1}^{+-1}, whose
+applied inline: the closed-form action gn.action_step (O(1) bit terms and one
+rewritten coordinate) and, when it folds, the sparse left factor s_{i,i+1}^{+-1}, whose
 up to i+1 nonzero coordinates make a letter X_i cost O(i).  The one-line
 images and one GnElement are built at the end.
 
@@ -50,7 +50,7 @@ from functools import lru_cache
 
 from .braid import (BraidWord, Perm, concat, inv_word, inversions, power_word, tits_lift,
                     z_ij)
-from .gn import GnElement, affine_action, beta, gn_identity, gn_inv, gn_mul, s_ij
+from .gn import GnElement, action_step, beta, gn_identity, gn_inv, gn_mul, s_ij
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,22 +107,21 @@ def c_word(n: int) -> BraidWord:
 @lru_cache(maxsize=None)
 def _scan_table(n: int) -> dict[int, tuple]:
     """The scan's step for each letter X_i^sign, keyed by letter: the flat tuple
-    (i, sign > 0, j, row, linear, diagonal, cross, fold_bit, fold_beta, fold_vec).
-    The action of gn.affine_action sets vec[j] to the sum of c * vec[k] over
-    row = ((k, c), ...) and adds the linear, diagonal and cross bit terms; the
-    fold adds f = s_{i,i+1}^sign: its bit, the b with beta(f, e_b) odd and its
-    nonzero coordinates."""
+    (i, row, linear, diagonal, cross, positive, fold_bit, fold_beta, fold_vec).
+    Its first five fields are gn.action_step(n, letter), the action on g:
+    vec[i] becomes the sum of c * vec[k] over row = ((k, c), ...) and the
+    linear, diagonal and cross bit terms are added.  positive is sign > 0, and
+    the fold adds f = s_{i,i+1}^sign: its bit, the b with beta(f, e_b) odd and
+    its nonzero coordinates."""
     _require_quotient_n(n)
     table = {}
     for i, s in enumerate(s2_table(n), 1):
         for sign in (1, -1):
-            action = affine_action(n, i, sign)
             f = s if sign > 0 else gn_inv(s)
             fold_beta = tuple(b for b in range(n)
                               if beta(f.vec, [int(k == b) for k in range(n)], n))
             fold_vec = tuple((k, x) for k, x in enumerate(f.vec) if x)
-            table[sign * i] = (i, sign > 0, action.j, action.row, action.linear,
-                               action.diagonal, action.cross, f.bit, fold_beta, fold_vec)
+            table[sign * i] = action_step(n, sign * i) + (sign > 0, f.bit, fold_beta, fold_vec)
     return table
 
 
@@ -134,7 +133,7 @@ def _scan(start: TbnNormalForm, letters: tuple[int, ...]) -> TbnNormalForm:
     pos = [0] + sorted(range(1, n + 1), key=lambda k: images[k - 1])  # pos[v] = position of v
     bit, vec = start.g.bit, list(start.g.vec)  # g = nu^bit . s_1^vec[0] . u_1^vec[1] ...
     for letter in letters:
-        i, positive, j, row, linear, diagonal, cross, fold_bit, fold_beta, fold_vec = table[letter]
+        i, row, linear, diagonal, cross, positive, fold_bit, fold_beta, fold_vec = table[letter]
         for k in linear:
             bit += vec[k]
         for k in diagonal:
@@ -145,7 +144,7 @@ def _scan(start: TbnNormalForm, letters: tuple[int, ...]) -> TbnNormalForm:
         x = 0
         for k, c in row:
             x += c * vec[k]
-        vec[j] = x
+        vec[i] = x
         pi, pj = pos[i], pos[i + 1]
         pos[i], pos[i + 1] = pj, pi
         # A letter that does not extend the positive section leaves a squared

@@ -171,3 +171,28 @@ def test_subcommand_option_wins_over_global():
     assert (payload["cases"], payload["seed"]) == (5, 2)
     _, out, _ = invoke(base + ["--bound", "3", "prop71-check", "1;0,-1,0,0,0", "--bound", "2"])
     assert json.loads(out)["bound"] == 2
+
+
+def test_negative_cases_is_a_usage_error():
+    # A negative --cases used to run no sampled case and report "all: pass".
+    for argv in (["--n", "5", "verify", "all", "--cases", "-3"],
+                 ["--n", "5", "--cases", "-3", "verify", "tits"],
+                 ["--n", "5", "--json", "verify", "tits", "--cases", "-1"]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert "argument --cases: must be >= 0" in err
+    code, out, _ = invoke(["--n", "5", "verify", "tits", "--cases", "0"])
+    assert code == 0 and out.endswith("all: pass\n")
+
+
+def test_negative_bound_is_a_usage_error():
+    # A negative --bound used to run prop71-check as if it were 0.
+    prime = "1;0,-1,0,0,0"
+    for argv in (["--n", "5", "prop71-check", prime, "--bound", "-2"],
+                 ["--n", "5", "--bound", "-2", "prop71-check", prime],
+                 ["--n", "5", "--json", "--bound", "-1", "prop71-check", prime, "--bound", "2"]):
+        code, out, err = invoke(argv)
+        assert (code, out) == (2, "")
+        assert "argument --bound: must be >= 0" in err
+    code, out, _ = invoke(["--n", "5", "--json", "prop71-check", prime, "--bound", "0"])
+    assert code == 1 and json.loads(out)["bound"] == 0

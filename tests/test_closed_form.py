@@ -3,10 +3,9 @@
 The oracles are the generic paths the closed form replaced: `_apply_images`
 (one gn_pow and one gn_mul per coordinate) for the action, the
 letter-by-letter scan over GnElements below for the normal form, and the
-retired per-letter loop over `apply_affine` for the fused scan from arbitrary
-start states.  Mutants of the derived tables (the action's diagonal C(v, 2)
-and cross terms, and every field of a fused scan step) must be caught by the
-same comparisons.
+retired per-letter loop over `apply_step` for the fused scan from arbitrary
+start states.  Mutants of the derived tables (every field of an action step
+and of a fused scan step) must be caught by the same comparisons.
 """
 
 import os
@@ -33,10 +32,10 @@ from tbraid.gn import (
     GnElement,
     _apply_images,
     act_generator,
+    act_word,
     action_images,
     action_inverse_images,
-    affine_action,
-    apply_affine,
+    action_step,
     beta,
     gn_identity,
     gn_inv,
@@ -54,6 +53,22 @@ def _images(n, i, sign):
     return action_images(n, i) if sign > 0 else action_inverse_images(n, i)
 
 
+def apply_step(step, bit, vec):
+    """Apply one action step (see gn.action_step) to nu^bit . vec, rewriting
+    vec in place; return the new bit.  This is the per-letter loop that
+    act_generator and act_word ran before they shared gn's loop over steps."""
+    i, row, linear, diagonal, cross = step
+    for k in linear:
+        bit += vec[k]
+    for k in diagonal:
+        v = vec[k]
+        bit += v * (v - 1) >> 1
+    for k, l in cross:
+        bit += vec[k] * vec[l]
+    vec[i] = sum([c * vec[k] for k, c in row])
+    return bit & 1
+
+
 def _action_samples():
     """Seeded (n, i, sign, g) for every letter of G(3) .. G(12), coordinates
     in [-9, 9].  In the first four samples of each letter every coordinate
@@ -69,12 +84,12 @@ def _action_samples():
                     yield n, i, sign, GnElement(n, rng.randint(0, 1), vec)
 
 
-def _first_action_mismatch(action_for):
-    """The first sample where the tables from action_for disagree with
-    _apply_images, or None."""
+def _first_action_mismatch(step_for):
+    """The first sample where the steps from step_for(n, letter) disagree
+    with _apply_images, or None."""
     for n, i, sign, g in _action_samples():
         vec = list(g.vec)
-        bit = apply_affine(action_for(n, i, sign), g.bit, vec)
+        bit = apply_step(step_for(n, sign * i), g.bit, vec)
         if GnElement(n, bit, tuple(vec)) != _apply_images(_images(n, i, sign), g):
             return n, i, sign, g
     return None
@@ -89,15 +104,55 @@ def test_samples_cover_every_residue_mod_4():
 
 
 def test_closed_form_matches_apply_images():
-    assert _first_action_mismatch(affine_action) is None
+    assert _first_action_mismatch(action_step) is None
     for n, i, sign, g in _action_samples():
         assert act_generator(g, i, sign) == _apply_images(_images(n, i, sign), g)
 
 
-@pytest.mark.parametrize("dropped", ["diagonal", "cross"])
-def test_action_mutants_are_caught(dropped):
-    def mutant(n, i, sign):
-        return affine_action(n, i, sign)._replace(**{dropped: ()})
+def _act_word_cases():
+    """Seeded elements at n = 3..12 under seeded words of up to 300 letters
+    and, from n = 4, the quadrangle relator, the transversal commutator and
+    their conjugates."""
+    rng = random.Random(83)
+    for n in ACTION_NS:
+        words = [random_word(n, length, rng, min_len=length) for length in (0, 1, 5, 40, 300)]
+        if n >= 4:
+            conj = random_word(n, 10, rng)
+            for kernel in (quadrangle_relator(n), transversal_commutator(n)):
+                words += [kernel, conj_word(kernel, conj)]
+        for w in words:
+            for _ in range(3):
+                vec = tuple(rng.choice(COORDINATES) for _ in range(n))
+                yield GnElement(n, rng.randint(0, 1), vec), w
+
+
+def test_act_word_matches_apply_images():
+    for g, w in _act_word_cases():
+        expected = g
+        for letter in w.letters:
+            expected = _apply_images(_images(g.n, abs(letter), 1 if letter > 0 else -1), expected)
+        assert act_word(g, w) == expected, (g, w)
+
+
+# The fields of an action step (see gn.action_step) and, for each, a mutant
+# of its value.
+ACTION_FIELDS = ("i", "row", "linear", "diagonal", "cross")
+ACTION_MUTANTS = {
+    "i": lambda i: i - 1,
+    "row": lambda row: ((row[0][0], row[0][1] + 1),) + row[1:],
+    "linear": lambda linear: (),
+    "diagonal": lambda diagonal: (),
+    "cross": lambda cross: (),
+}
+
+
+@pytest.mark.parametrize("field", sorted(ACTION_MUTANTS))
+def test_action_mutants_are_caught(field):
+    k, mutate = ACTION_FIELDS.index(field), ACTION_MUTANTS[field]
+
+    def mutant(n, letter):
+        step = action_step(n, letter)
+        return step[:k] + (mutate(step[k]),) + step[k + 1:]
 
     assert _first_action_mismatch(mutant) is not None
 
@@ -106,20 +161,20 @@ def test_closed_form_is_sparse():
     for n in (4, 16, 32):
         for i in range(1, n):
             for sign in (1, -1):
-                action = affine_action(n, i, sign)
+                j, row, linear, diagonal, cross = action_step(n, sign * i)
                 moved = {i - 1, i, i + 1} | ({0} if i == 2 else set())
-                assert action.j == i and {k for k, _ in action.row} <= moved
-                assert set(action.linear) | set(action.diagonal) <= moved
-                assert {k for pair in action.cross for k in pair} <= moved
+                assert j == i and {k for k, _ in row} <= moved
+                assert set(linear) | set(diagonal) <= moved
+                assert {k for pair in cross for k in pair} <= moved
 
 
 def test_self_check_raises_under_python_O():
-    # Tables that disagree with _apply_images must be refused, also when
+    # Steps that disagree with _apply_images must be refused, also when
     # python -O strips assert statements.
     src = str(Path(tbraid.__file__).resolve().parents[1])
     code = ("from tbraid import gn\n"
-            "gn.apply_affine = lambda action, bit, vec: bit\n"
-            "gn.affine_action(5, 2, 1)\n")
+            "gn._act_steps = lambda g, steps: g\n"
+            "gn.action_step(5, 2)\n")
     result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                             text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode != 0
@@ -176,15 +231,12 @@ def test_normal_form_matches_reference_scan():
         assert normal_form(w) == reference_normal_form(w), w
 
 
-# The fields of a fused scan step (see quotient._scan_table) and, for each,
-# a mutant of its value.
-STEP_FIELDS = ("i", "positive", "j", "row", "linear", "diagonal", "cross",
-               "fold_bit", "fold_beta", "fold_vec")
+# The fields of a fused scan step (see quotient._scan_table): those of the
+# action step gn.action_step, then the sign and the fold; and, for each, a
+# mutant of its value.
+STEP_FIELDS = ACTION_FIELDS + ("positive", "fold_bit", "fold_beta", "fold_vec")
 STEP_MUTANTS = {
-    "linear": lambda linear: (),
-    "diagonal": lambda diagonal: (),
-    "cross": lambda cross: (),
-    "row": lambda row: ((row[0][0], row[0][1] + 1),) + row[1:],
+    **ACTION_MUTANTS,
     "fold_bit": lambda bit: 1 - bit,
     "fold_beta": lambda fold_beta: (),
     "fold_vec": lambda fold_vec: (),
@@ -205,7 +257,7 @@ def test_scan_mutants_are_caught(field, monkeypatch):
     assert any(normal_form(w) != reference_normal_form(w) for w in _scan_words())
 
 
-# The per-letter loop that the fused scan replaced: apply_affine on the
+# The per-letter loop that the fused scan replaced: apply_step on the
 # closed-form action, then the fold, with the one-line images kept alongside.
 def _retired_step(n, letter):
     i, sign = abs(letter), (1 if letter > 0 else -1)
@@ -213,7 +265,7 @@ def _retired_step(n, letter):
     f = s if sign > 0 else gn_inv(s)
     odd = tuple(b for b in range(n) if beta(f.vec, [int(k == b) for k in range(n)], n))
     fold = (f.bit, odd, tuple((k, x) for k, x in enumerate(f.vec) if x))
-    return affine_action(n, i, sign), fold
+    return action_step(n, letter), fold
 
 
 def retired_scan(start: TbnNormalForm, letters) -> TbnNormalForm:
@@ -227,7 +279,7 @@ def retired_scan(start: TbnNormalForm, letters) -> TbnNormalForm:
     for letter in letters:
         i = abs(letter)
         action, (fold_bit, fold_beta, fold_vec) = steps[letter]
-        bit = apply_affine(action, bit, vec)
+        bit = apply_step(action, bit, vec)
         ascending = pos[i] < pos[i + 1]
         pi, pj = pos[i], pos[i + 1]
         a[pi - 1], a[pj - 1] = a[pj - 1], a[pi - 1]

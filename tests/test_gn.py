@@ -186,6 +186,8 @@ def test_act_generator_examples():
         act_generator(gn_s1(n), 1, 2)
     with pytest.raises(ValueError):
         act_generator(gn_s1(n), 0, -1)
+    with pytest.raises(ValueError):
+        act_generator(gn_s1(n), -1, -1)
 
 
 def test_act_word_examples():

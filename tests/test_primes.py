@@ -446,7 +446,7 @@ def test_one_reduction_decides_every_target():
             GnElement(n, rng.randint(0, 1), tuple(rng.randint(-1, 1) for _ in range(n)))]
         for target in targets:
             expected = _subgroup_contains_by_hnf(gens, target)
-            assert contains(target) == G.subgroup_contains(gens, target) == expected
+            assert contains(target) == expected
 
 
 def test_conjugated_variant_of_canonical_prime():
