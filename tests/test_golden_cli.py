@@ -13,6 +13,13 @@ kernel and not-equal cases insert a conjugated transversal commutator
 relator), `tb prime-check` and `tb prop71-check --bound 3` (seeded elements
 and the canonical prime) and one `tb verify all` run pin the generator
 action and the layers that read it.
+
+`tb eq --group bn`, `tb lk`, `tb classify`, `tb lift` and `tb --dump-tables`
+at n = 4, 5 and 6, human and JSON, pin the braid-group layer, the linking
+numbers, the lift and the tables: seeded words of 12 and 100 letters (a
+braid relation or a transversal commutator inserted, and w followed by its
+letters reversed, which is pure), half-twists with seeded 6-letter
+conjugators and elements with coordinates in [-3, 3].
 """
 
 import random
@@ -26,6 +33,7 @@ GOLDEN = Path(__file__).with_name("golden_cli.txt")
 NS = (4, 8, 16)
 LENGTHS = (100, 100, 1000, 1000)
 PRIME_NS = (5, 8, 16)
+BN_NS = (4, 5, 6)
 
 
 def _word(rng, n, length):
@@ -75,6 +83,7 @@ def cases():
     yield from action_cases()
     yield from prime_cases()
     yield "verify-all.n5", ["--n", "5", "--json", "verify", "all", "--cases", "50", "--seed", "7"]
+    yield from braid_cases()
 
 
 def action_cases():
@@ -106,6 +115,46 @@ def prime_cases():
             yield f"{tag}.prime-check-json", head + ["--json", "prime-check", u, tau]
             yield f"{tag}.prop71", head + ["--bound", "3", "prop71-check", u]
             yield f"{tag}.prop71-json", head + ["--json", "prop71-check", u, "--bound", "3"]
+
+
+def _half_twist(rng, index, conj):
+    return f"{index}|{_text(conj)}|{rng.choice('+-')}"
+
+
+def braid_cases():
+    rng = random.Random(20261022)
+    for n in BN_NS:
+        head = ["--n", str(n)]
+        transversal = list(transversal_commutator(n).letters)
+        for length in (12, 100):
+            w = _word(rng, n, length)
+            i, cut = rng.randint(1, n - 2), rng.randint(0, length)
+            relation = [i, i + 1, i, -(i + 1), -i, -(i + 1)]  # trivial in B_n
+            same = w[:cut] + relation + w[cut:]
+            other = w[:cut] + transversal + w[cut:]
+            pure = w + w[::-1]
+            tag = f"bn.n{n}.L{length}"
+            yield f"{tag}.eq-same", head + ["--json", "eq", "--group", "bn", _text(w), _text(same)]
+            yield f"{tag}.eq-transversal", head + ["--json", "eq", "--group", "bn",
+                                                   _text(w), _text(other)]
+            yield f"{tag}.eq-human", head + ["eq", "--group", "bn", _text(same), _text(other)]
+            yield f"{tag}.lk", head + ["lk", _text(pure)]
+            yield f"{tag}.lk-json", head + ["--json", "lk", _text(pure)]
+        for kind in ("consecutive", "disjoint", "random"):
+            conj = _word(rng, n, 6)
+            i, j = rng.randint(1, n - 3), rng.randint(1, n - 1)
+            j = {"consecutive": i + 1, "disjoint": i + 2}.get(kind, j)
+            ht1 = _half_twist(rng, i, conj)
+            ht2 = _half_twist(rng, j, _word(rng, n, 6) if kind == "random" else conj)
+            tag = f"classify.n{n}.{kind}"
+            yield f"{tag}", head + ["classify", ht1, ht2]
+            yield f"{tag}-json", head + ["--json", "classify", ht1, ht2]
+        for k in range(2):
+            g = _element(rng, n, bound=3)
+            yield f"lift.n{n}.{k}", head + ["lift", g]
+            yield f"lift.n{n}.{k}-json", head + ["--json", "lift", g]
+        yield f"tables.n{n}", head + ["--dump-tables"]
+        yield f"tables.n{n}-json", head + ["--json", "--dump-tables"]
 
 
 def render():
