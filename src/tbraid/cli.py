@@ -33,7 +33,7 @@ from .braid import (
 from .gn import act_word, action_images, format_element, gn_nu, parse_element, s_ij
 from .primes import GnInstance, check_prime_frame, check_prop71
 from .quotient import in_kernel, lift, normal_form, tbn_equal
-from .verify import SUITES, run_suites
+from .verify import SUITES
 
 
 def _emit(args, payload, human: str) -> None:
@@ -159,7 +159,7 @@ def _cmd_prop71_check(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    results = run_suites(names, args.cases, args.seed)
+    results = {name: SUITES[name](args.cases, args.seed) for name in names}
     ok = all(all(checks.values()) for checks in results.values())
     payload = {"suites": results, "cases": args.cases, "seed": args.seed, "pass": ok}
     lines = []
@@ -193,12 +193,18 @@ def _cmd_dump_tables(args) -> int:
     return 0
 
 
-def count(text: str) -> int:
-    """The argparse type of --cases and --bound: a non-negative integer."""
+def count(text: str, minimum: int = 0) -> int:
+    """The argparse type of --bound: an integer of at least minimum."""
     value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+def positive(text: str) -> int:
+    """The argparse type of --cases: with no sampled case, verify would
+    report a pass that sampled nothing."""
+    return count(text, 1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=None, help="number of strands")
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     parser.add_argument("--seed", type=int, default=0, help="randomness seed")
-    parser.add_argument("--cases", type=count, default=200,
+    parser.add_argument("--cases", type=positive, default=200,
                         help="randomized-suite size for verify")
     parser.add_argument("--bound", type=count, default=3,
                         help="orbit bound for the generation criterion")
@@ -265,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=sorted(SUITES) + ["all"])
-    p.add_argument("--cases", type=count, default=argparse.SUPPRESS)
+    p.add_argument("--cases", type=positive, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 

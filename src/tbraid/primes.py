@@ -3,11 +3,12 @@ Prime elements of groups acted on by the transversal-commutator quotient.
 
 A group G together with a right action of TB_n by automorphisms is called an
 action group here.  The checkers use exactly these members of it: n,
-identity(), mul(a, b), inv(a), eq(a, b), apply(g, i, sign) (the action of
-the letter X_i^sign), generating_set(), degree_zero_generators() (the default
-targets of condition 0 of check_prop71) and subgroup_membership(gens) (the
-exact membership test t -> bool of the subgroup generated by gens).
-GnInstance, the coordinate group, is the built-in one.
+identity(), mul(a, b), inv(a), eq(a, b), act(g, letters) (the right action
+of a sequence of signed letters, X_i^sign written sign * i, read left to
+right), generating_set(), degree_zero_generators() (the default targets of
+condition 0 of check_prop71) and subgroup_membership(gens) (the exact
+membership test t -> bool of the subgroup generated by gens).  Elements must
+be hashable.  GnInstance, the coordinate group, is the built-in one.
 
 An element g of such a group is prime with supporting half-twist X and
 central element tau (tau central, tau^2 = 1, fixed by the action) when
@@ -57,16 +58,18 @@ from .braid import (
     inv_word,
     random_word,
 )
-from .gn import (GnElement, act_generator, gn_generator, gn_identity, gn_inv, gn_mul, gn_nu,
-                 gn_pow, q_value)
+from .gn import (GnElement, _act_steps, action_step, gn_generator, gn_identity, gn_inv, gn_mul,
+                 gn_nu, gn_pow, q_value)
 from .quotient import c_word, normal_form, tbn_equal
 
 
 class GnInstance:
     """The coordinate group G(n) as an action group; elements are GnElement.
 
-    The degree-zero subgroup (vanishing first coordinate) is closed under
-    the action and under products within fixed degree.
+    act folds the closed-form steps gn.action_step with the loop act_word
+    runs; a letter 0 or of absolute value >= n raises ValueError.  The
+    degree-zero subgroup (vanishing first coordinate) is closed under the
+    action and under products within fixed degree.
     """
 
     def __init__(self, n: int):
@@ -86,8 +89,8 @@ class GnInstance:
     def eq(self, a: GnElement, b: GnElement) -> bool:
         return a == b
 
-    def apply(self, g: GnElement, i: int, sign: int) -> GnElement:
-        return act_generator(g, i, sign)
+    def act(self, g: GnElement, letters: Iterable[int]) -> GnElement:
+        return _act_steps(g, [action_step(g.n, letter) for letter in letters])
 
     def in_degree_zero(self, g: GnElement) -> bool:
         return g.vec[0] == 0
@@ -103,13 +106,6 @@ class GnInstance:
         return functools.partial(_reduced_contains, *_reduce_subgroup(list(generators)))
 
 
-def act_by(G, g, letters: Iterable[int]):
-    """Fold the generator action over a letter sequence (left to right)."""
-    for letter in letters:
-        g = G.apply(g, abs(letter), 1 if letter > 0 else -1)
-    return g
-
-
 @dataclasses.dataclass(frozen=True)
 class PolarizedPair:
     """A prime element together with its polarized supporting half-twist and
@@ -122,7 +118,7 @@ class PolarizedPair:
 
 def make_pair(G, h, ht: HalfTwist) -> PolarizedPair:
     """Assemble a polarized pair, deriving tau = h . h_{X^-1}."""
-    tau = G.mul(h, act_by(G, h, inv_word(ht_word(ht)).letters))
+    tau = G.mul(h, G.act(h, inv_word(ht_word(ht)).letters))
     return PolarizedPair(h, ht, tau)
 
 
@@ -147,13 +143,7 @@ class PrimeReport:
         return self.verdict.startswith("pass")
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "conditions": self.conditions,
-            "bound": self.bound,
-            "seed": self.seed,
-            "witness": self.witness,
-        }
+        return dataclasses.asdict(self)
 
 
 class Checks(dict[str, bool]):
@@ -165,6 +155,14 @@ class Checks(dict[str, bool]):
 
     def __call__(self, name: str, passed: bool) -> None:
         self[name] = self.get(name, True) and passed
+
+
+def case_rng(cases: int, seed: int) -> random.Random:
+    """The seeded generator a randomized suite draws its cases from; a
+    negative case count raises ValueError."""
+    if cases < 0:
+        raise ValueError(f"cases must be >= 0, got {cases}")
+    return random.Random(seed)
 
 
 def _finish_report(conditions: dict[str, bool], bound: int | None, seed: int,
@@ -181,16 +179,15 @@ def _adjacent_identities(G, g, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[
     """Axiom (2) for g on the adjacent half-twists X and Y with words x and
     y: identities (a) and (b) of the module docstring."""
     x_inv, y_inv = tuple(-a for a in reversed(x)), tuple(-a for a in reversed(y))
-    a = G.eq(act_by(G, g, y_inv + x_inv), G.mul(G.inv(g), act_by(G, g, y_inv)))
-    b = G.eq(act_by(G, g, x + y_inv + x_inv),
-             G.mul(G.inv(act_by(G, g, x)), act_by(G, g, x + y_inv)))
+    a = G.eq(G.act(g, y_inv + x_inv), G.mul(G.inv(g), G.act(g, y_inv)))
+    b = G.eq(G.act(g, x + y_inv + x_inv), G.mul(G.inv(G.act(g, x)), G.act(g, x + y_inv)))
     return a, b
 
 
 def _frame_identities(G, u) -> tuple[bool, bool, bool]:
     """The identities both criteria impose on u: conditions 2a, 2b and 3 of
     check_prime_frame, which are conditions 1a, 1b and 3 of check_prop71."""
-    far = all(G.eq(act_by(G, u, [j]), u) for j in range(3, G.n))
+    far = all(G.eq(G.act(u, (j,)), u) for j in range(3, G.n))
     return (*_adjacent_identities(G, u, (1,), (2,)), far)
 
 
@@ -226,16 +223,16 @@ def check_prime_frame(G, u, tau, seed: int = 0) -> PrimeReport:
     centrality_sample = list(G.generating_set())
     for _ in range(8):
         letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(4)]
-        centrality_sample.append(act_by(G, u, letters))
+        centrality_sample.append(G.act(u, letters))
 
-    cond1 = G.eq(act_by(G, u, [-1]), G.mul(G.inv(u), tau))
+    cond1 = G.eq(G.act(u, (-1,)), G.mul(G.inv(u), tau))
     if not cond1:
         witness["1"] = "u_{X_1^-1} != u^-1 tau"
     if not G.eq(G.mul(tau, tau), G.identity()):
         cond1 = False
         witness["1"] = "tau^2 != 1"
     for j in range(1, n):
-        if not (G.eq(act_by(G, tau, [j]), tau) and G.eq(act_by(G, tau, [-j]), tau)):
+        if not (G.eq(G.act(tau, (j,)), tau) and G.eq(G.act(tau, (-j,)), tau)):
             cond1 = False
             witness["1"] = f"tau moved by generator {j}"
             break
@@ -277,6 +274,8 @@ def check_prop71(G, S, generators: Sequence | None = None, bound: int = 3,
     n = G.n
     if n < 5:
         raise ValueError(f"the generation criterion needs n >= 5, got {n}")
+    if bound < 0:
+        raise ValueError(f"the orbit bound must be >= 0, got {bound}")
     witness: dict = {}
     if generators is None:
         generators = G.degree_zero_generators()
@@ -288,11 +287,11 @@ def check_prop71(G, S, generators: Sequence | None = None, bound: int = 3,
 
     cond1a, cond1b, cond3 = _frame_identities(G, S)
     tau = make_pair(G, S, frame(n, 1)).tau
-    T = act_by(G, S, [-2])
-    cond2a = G.eq(act_by(G, tau, [1, 1]), tau)
+    T = G.act(S, (-2,))
+    cond2a = G.eq(G.act(tau, (1, 1)), tau)
     tau_T = G.mul(G.inv(T), G.mul(tau, T))
-    cond2b = G.eq(tau_T, act_by(G, G.inv(tau), [1]))
-    cond4 = G.eq(act_by(G, S, c_word(n).letters), S)
+    cond2b = G.eq(tau_T, G.act(G.inv(tau), (1,)))
+    cond4 = G.eq(G.act(S, c_word(n).letters), S)
 
     conditions = {"0": cond0, "1a": cond1a, "1b": cond1b,
                   "2a": cond2a, "2b": cond2b, "3": cond3, "4": cond4}
@@ -309,7 +308,7 @@ def _bounded_orbit(G, S, bound: int) -> list:
         new_frontier = []
         for g in frontier:
             for letter in letters:
-                moved = G.apply(g, abs(letter), 1 if letter > 0 else -1)
+                moved = G.act(g, (letter,))
                 if moved not in seen:
                     seen.add(moved)
                     new_frontier.append(moved)
@@ -396,7 +395,7 @@ def transport(G, pair: PolarizedPair, target: HalfTwist):
     moving its support onto the target.  Uniqueness makes the result
     independent of the choice of that braid.
     """
-    return act_by(G, pair.h, _transport_conjugator(pair.ht, target).letters)
+    return G.act(pair.h, _transport_conjugator(pair.ht, target).letters)
 
 
 # ---------------------------------------------------------------------------
@@ -419,22 +418,19 @@ def canonical_prime(n: int) -> PolarizedPair:
 
 
 def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist],
-                     tau=None, seed: int = 0) -> PrimeReport:
+                     tau, seed: int = 0) -> PrimeReport:
     """Check the prime-element axioms for g against sampled half-twists.
 
     Samples sharing one endpoint with X exercise axiom (2); samples with no
     common endpoint that commute with X in the quotient exercise the
     conclusion of axiom (3), which covers disjoint and transversal samples
     alike (the action only sees the quotient, where both classes commute);
-    axiom (1) is checked directly against tau (derived as g . g_{X^-1} if
-    not given).
+    axiom (1) is checked directly against tau.
     """
     witness: dict = {"checked": {"2": 0, "3": 0, "skipped": 0}}
     x_word = ht_word(X)
     x_inv = inv_word(x_word)
-    if tau is None:
-        tau = make_pair(G, g, X).tau
-    cond1 = G.eq(act_by(G, g, x_inv.letters), G.mul(G.inv(g), tau))
+    cond1 = G.eq(G.act(g, x_inv.letters), G.mul(G.inv(g), tau))
     cond1 = cond1 and G.eq(G.mul(tau, tau), G.identity())
     cond2 = True
     cond3 = True
@@ -450,7 +446,7 @@ def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist],
                 witness["2"] = "axiom (2) failed on an adjacent sample"
         elif common == 0 and tbn_equal(concat(x_word, y_word, x_inv), y_word):
             witness["checked"]["3"] += 1
-            if not G.eq(act_by(G, g, y_word.letters), g):
+            if not G.eq(G.act(g, y_word.letters), g):
                 cond3 = False
                 witness["3"] = "a commuting weakly disjoint sample moved g"
         else:
@@ -476,13 +472,21 @@ def _cp_generator_words(n: int, i: int) -> list[BraidWord]:
     return words
 
 
-def _random_cp_word(n: int, i: int, rng: random.Random, length: int = 3) -> BraidWord:
-    words = _cp_generator_words(n, i)
+CP_WORD_LENGTH = 3
+UNIQUENESS_TARGETS = 20
+UNIQUENESS_PERTURBATIONS = 5
+
+
+def _random_cp_letters(ht: HalfTwist, rng: random.Random) -> tuple[int, ...]:
+    """The letters of a random element of the polarized centralizer of ht:
+    CP_WORD_LENGTH factors drawn from _cp_generator_words, each inverted or
+    not, conjugated through ht's conjugator."""
+    words = _cp_generator_words(ht.n, ht.index)
     letters: tuple[int, ...] = ()
-    for _ in range(length):
+    for _ in range(CP_WORD_LENGTH):
         w = rng.choice(words)
         letters += w.letters if rng.random() < 0.5 else inv_word(w).letters
-    return BraidWord(n, letters)
+    return conj_word(BraidWord(ht.n, letters), ht.conj).letters
 
 
 def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
@@ -507,20 +511,17 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     - simultaneous conjugation: one braid transports both h and its
       polarization-reversed partner h^-1 tau.
     """
-    rng = random.Random(seed)
+    rng = case_rng(cases, seed)
     n = G.n
     h, X, tau = pair.h, pair.ht, pair.tau
-    x_word = ht_word(X)
+    x = ht_word(X).letters
     checks = Checks()
 
-    def act(g, w: BraidWord):
-        return act_by(G, g, w.letters)
-
-    h_x = act(h, x_word)
-    h_xinv = act(h, inv_word(x_word))
+    h_x = G.act(h, x)
+    h_xinv = G.act(h, inv_word(ht_word(X)).letters)
     target = G.mul(G.inv(h), tau)
     checks("support-involution", G.eq(h_x, target) and G.eq(h_xinv, target)
-           and G.eq(act(h, concat(x_word, x_word)), h))
+           and G.eq(G.act(h, x + x), h))
 
     # Consecutive neighbours of the support: conjugates of the frame pair.
     neighbours = []
@@ -529,9 +530,9 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     if X.index - 1 >= 1:
         neighbours.append(HalfTwist(X.conj, X.index - 1))
     for Y in neighbours:
-        y_inv = inv_word(ht_word(Y))
-        checks("neighbour-inverse-square", G.eq(act(h, concat(y_inv, y_inv)), G.mul(h, tau)))
-        h_y = act(h, y_inv)
+        y_inv = inv_word(ht_word(Y)).letters
+        checks("neighbour-inverse-square", G.eq(G.act(h, y_inv + y_inv), G.mul(h, tau)))
+        h_y = G.act(h, y_inv)
         comm = G.mul(G.mul(h, h_y), G.mul(G.inv(h), G.inv(h_y)))
         checks("neighbour-commutator", G.eq(comm, tau))
 
@@ -548,11 +549,11 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
         lT = transport(G, pair, T)
         lY = transport(G, pair, Y)
         lYp = transport(G, pair, Yp)
-        t_inv = inv_word(ht_word(T))
-        y_inv = inv_word(ht_word(Y))
-        checks("transport-support-inverse", G.eq(act(lT, t_inv), G.mul(G.inv(lT), tau)))
-        checks("transport-orderly-adjacent", G.eq(act(lT, y_inv), G.mul(lT, lY)))
-        checks("transport-reversed-adjacent", G.eq(act(lT, y_inv), G.mul(G.inv(lYp), lT)))
+        lT_tinv = G.act(lT, inv_word(ht_word(T)).letters)
+        lT_yinv = G.act(lT, inv_word(ht_word(Y)).letters)
+        checks("transport-support-inverse", G.eq(lT_tinv, G.mul(G.inv(lT), tau)))
+        checks("transport-orderly-adjacent", G.eq(lT_yinv, G.mul(lT, lY)))
+        checks("transport-reversed-adjacent", G.eq(lT_yinv, G.mul(G.inv(lYp), lT)))
 
     # Commutator dichotomy over coherent pairs.
     checks("dichotomy-adjacent", True)
@@ -574,13 +575,12 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     # The transported frame family; the end indices have no step down or up.
     xi = {i: transport(G, pair, frame(n, i)) for i in range(1, n)}
     for i in range(1, n):
-        checks("frame-family-support", G.eq(act(xi[i], BraidWord(n, (-i,))),
-                                            G.mul(G.inv(xi[i]), tau)))
+        checks("frame-family-support", G.eq(G.act(xi[i], (-i,)), G.mul(G.inv(xi[i]), tau)))
         checks("frame-family-step-down", i == 1 or G.eq(
-            act(xi[i], BraidWord(n, (-(i - 1),))), G.mul(xi[i], xi[i - 1])))
+            G.act(xi[i], (-(i - 1),)), G.mul(xi[i], xi[i - 1])))
         checks("frame-family-step-up", i == n - 1 or G.eq(
-            act(xi[i], BraidWord(n, (-(i + 1),))), G.mul(xi[i], xi[i + 1])))
-        checks("frame-family-far", all(G.eq(act(xi[i], BraidWord(n, (j,))), xi[i])
+            G.act(xi[i], (-(i + 1),)), G.mul(xi[i], xi[i + 1])))
+        checks("frame-family-far", all(G.eq(G.act(xi[i], (j,)), xi[i])
                                        for j in range(1, n) if abs(j - i) >= 2))
         checks("frame-family-commutators", all(
             G.eq(G.mul(G.mul(xi[i], xi[j]), G.mul(G.inv(xi[i]), G.inv(xi[j]))),
@@ -589,7 +589,7 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
 
     # Invariance under the polarized centralizer of the support (checked on
     # generators conjugated through the pair's own conjugator).
-    checks("centralizer-invariance", all(G.eq(act(h, conj_word(w, X.conj)), h)
+    checks("centralizer-invariance", all(G.eq(G.act(h, conj_word(w, X.conj).letters), h)
                                          for w in _cp_generator_words(n, X.index)))
 
     # Simultaneous conjugation of h and its reversed partner.
@@ -598,29 +598,25 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     for _ in range(min(cases, 10)):
         j = rng.randint(1, n - 1)
         tgt = HalfTwist(random_word(n, 5, rng), j)
-        c1 = _random_cp_word(n, X.index, rng)
-        c2 = _random_cp_word(n, X.index, rng)
-        base = _transport_conjugator(X, tgt)
-        g1 = act(h, concat(conj_word(c1, X.conj), base))
-        g2 = act(partner, concat(conj_word(c2, X.conj), base))
-        checks("simultaneous-conjugation", G.eq(act(h, base), g1) and G.eq(act(partner, base), g2))
+        c1, c2 = _random_cp_letters(X, rng), _random_cp_letters(X, rng)
+        base = _transport_conjugator(X, tgt).letters
+        g1, g2 = G.act(h, c1 + base), G.act(partner, c2 + base)
+        checks("simultaneous-conjugation",
+               G.eq(G.act(h, base), g1) and G.eq(G.act(partner, base), g2))
 
     return _finish_report(checks, None, seed, {})
 
 
-def transport_uniqueness(G, pair: PolarizedPair, targets: int = 20,
-                         perturbations: int = 5, seed: int = 0) -> bool:
+def transport_uniqueness(G, pair: PolarizedPair, seed: int = 0) -> bool:
     """Transporting along centralizer-perturbed conjugators changes nothing."""
     rng = random.Random(seed)
     n = G.n
-    for _ in range(targets):
+    for _ in range(UNIQUENESS_TARGETS):
         j = rng.randint(1, n - 1)
         target = HalfTwist(random_word(n, 6, rng), j, rng.random() < 0.5)
-        base = _transport_conjugator(pair.ht, target)
-        reference = act_by(G, pair.h, base.letters)
-        for _ in range(perturbations):
-            c = _random_cp_word(n, pair.ht.index, rng)
-            perturbed = act_by(G, pair.h, concat(conj_word(c, pair.ht.conj), base).letters)
-            if not G.eq(perturbed, reference):
+        base = _transport_conjugator(pair.ht, target).letters
+        reference = G.act(pair.h, base)
+        for _ in range(UNIQUENESS_PERTURBATIONS):
+            if not G.eq(G.act(pair.h, _random_cp_letters(pair.ht, rng) + base), reference):
                 return False
     return True

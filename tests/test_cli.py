@@ -174,14 +174,17 @@ def test_subcommand_option_wins_over_global():
 
 
 def test_negative_cases_is_a_usage_error():
-    # A negative --cases used to run no sampled case and report "all: pass".
+    # A negative or zero --cases used to run no sampled case and report
+    # "all: pass".
     for argv in (["--n", "5", "verify", "all", "--cases", "-3"],
                  ["--n", "5", "--cases", "-3", "verify", "tits"],
-                 ["--n", "5", "--json", "verify", "tits", "--cases", "-1"]):
+                 ["--n", "5", "--json", "verify", "tits", "--cases", "-1"],
+                 ["--n", "5", "--cases", "0", "verify", "all"],
+                 ["--n", "5", "--json", "verify", "tits", "--cases", "0"]):
         code, out, err = invoke(argv)
         assert (code, out) == (2, "")
-        assert "argument --cases: must be >= 0" in err
-    code, out, _ = invoke(["--n", "5", "verify", "tits", "--cases", "0"])
+        assert "argument --cases: must be >= 1" in err
+    code, out, _ = invoke(["--n", "5", "verify", "tits", "--cases", "1"])
     assert code == 0 and out.endswith("all: pass\n")
 
 

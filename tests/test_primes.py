@@ -13,10 +13,14 @@ from tbraid.braid import (
     ht_endpoints,
     ht_word,
     inv_word,
+    quadrangle_relator,
     random_word,
 )
 from tbraid.gn import (
     GnElement,
+    act_generator,
+    act_word,
+    gn_generator,
     gn_identity,
     gn_inv,
     gn_mul,
@@ -33,7 +37,6 @@ from tbraid.primes import (
     _finish_report,
     _reduce_subgroup,
     _reduced_contains,
-    act_by,
     axiom_spot_check,
     canonical_prime,
     check_prime_frame,
@@ -43,7 +46,7 @@ from tbraid.primes import (
     transport,
     transport_uniqueness,
 )
-from tbraid.quotient import normal_form, tbn_equal, tbn_mul
+from tbraid.quotient import c_word, normal_form, tbn_equal, tbn_mul
 
 
 def test_canonical_prime_construction():
@@ -115,8 +118,7 @@ def test_transport_guard_refuses_a_conjugator_missing_the_target(monkeypatch):
 
 def test_transport_uniqueness():
     for n in (5, 6):
-        assert transport_uniqueness(GnInstance(n), canonical_prime(n),
-                                    targets=20, perturbations=5, seed=0)
+        assert transport_uniqueness(GnInstance(n), canonical_prime(n), seed=0)
 
 
 def test_coherent_pairs_share_central_element():
@@ -182,7 +184,7 @@ def _spot_check_routed_by_classify_pair(G, g, X, samples, relations, tau):
     witness = {"checked": {"2": 0, "3": 0, "skipped": 0}}
     x_word = ht_word(X)
     x_inv = inv_word(x_word)
-    cond1 = G.eq(act_by(G, g, x_inv.letters), G.mul(G.inv(g), tau))
+    cond1 = G.eq(G.act(g, x_inv.letters), G.mul(G.inv(g), tau))
     cond1 = cond1 and G.eq(G.mul(tau, tau), G.identity())
     cond2 = cond3 = True
     for Y, rel in zip(samples, relations):
@@ -190,18 +192,18 @@ def _spot_check_routed_by_classify_pair(G, g, X, samples, relations, tau):
         y_inv = inv_word(y_word)
         if rel.common_endpoints == 1:
             witness["checked"]["2"] += 1
-            lhs_a = act_by(G, g, concat(x_word, y_inv, x_inv).letters)
-            rhs_a = G.mul(G.inv(act_by(G, g, x_word.letters)),
-                          act_by(G, g, concat(x_word, y_inv).letters))
-            lhs_b = act_by(G, g, concat(y_inv, x_inv).letters)
-            rhs_b = G.mul(G.inv(g), act_by(G, g, y_inv.letters))
+            lhs_a = G.act(g, concat(x_word, y_inv, x_inv).letters)
+            rhs_a = G.mul(G.inv(G.act(g, x_word.letters)),
+                          G.act(g, concat(x_word, y_inv).letters))
+            lhs_b = G.act(g, concat(y_inv, x_inv).letters)
+            rhs_b = G.mul(G.inv(g), G.act(g, y_inv.letters))
             if not (G.eq(lhs_a, rhs_a) and G.eq(lhs_b, rhs_b)):
                 cond2 = False
                 witness["2"] = "axiom (2) failed on an adjacent sample"
         elif rel.common_endpoints == 0 and (
                 rel.commute or tbn_equal(concat(x_word, y_word, x_inv), y_word)):
             witness["checked"]["3"] += 1
-            if not G.eq(act_by(G, g, y_word.letters), g):
+            if not G.eq(G.act(g, y_word.letters), g):
                 cond3 = False
                 witness["3"] = "a commuting weakly disjoint sample moved g"
         else:
@@ -231,7 +233,7 @@ def test_axiom_spot_check_matches_classify_pair_routing():
             if rel.commute:
                 x_word = ht_word(X)
                 assert tbn_equal(concat(x_word, ht_word(Y), inv_word(x_word)), ht_word(Y))
-        for g in (act_by(G, element, b.letters) for element in elements):
+        for g in (G.act(element, b.letters) for element in elements):
             report = axiom_spot_check(G, g, X, samples, tau=pair.tau)
             oracle = _spot_check_routed_by_classify_pair(G, g, X, samples, relations, pair.tau)
             assert report.to_json() == oracle.to_json()
@@ -248,7 +250,7 @@ def test_conjugation_stability():
     pair = canonical_prime(6)
     for _ in range(10):
         b = BraidWord(6, tuple(rng.choice([1, -1]) * rng.randint(1, 5) for _ in range(6)))
-        moved = PolarizedPair(act_by(G, pair.h, b.letters),
+        moved = PolarizedPair(G.act(pair.h, b.letters),
                               ht_conjugate(pair.ht, b), pair.tau)
         samples = [ht_conjugate(frame(6, j), b) for j in (2, 3, 4, 5)]
         samples.append(ht_conjugate(_transversal_to_x1(6), b))
@@ -275,6 +277,19 @@ def test_prop71_pass_and_failures():
     assert check_prop71(G, gn_s1(5), bound=3).verdict == "fail(1a)"
     with pytest.raises(ValueError):
         check_prop71(GnInstance(4), canonical_prime(4).h)
+
+
+def test_prop71_refuses_a_negative_bound():
+    G = GnInstance(5)
+    assert check_prop71(G, gn_nu(5), bound=0).verdict == "fail(0)"
+    with pytest.raises(ValueError, match="bound must be >= 0, got -2"):
+        check_prop71(G, gn_nu(5), bound=-2)
+
+
+def test_identity_suite_refuses_a_negative_case_count():
+    G = GnInstance(5)
+    with pytest.raises(ValueError, match="cases must be >= 0, got -1"):
+        prime_identity_suite(G, canonical_prime(5), cases=-1)
 
 
 def test_prop71_with_explicit_generators():
@@ -456,7 +471,7 @@ def test_conjugated_variant_of_canonical_prime():
     G = GnInstance(n)
     pair = canonical_prime(n)
     b = BraidWord(n, (2,))
-    h2 = act_by(G, pair.h, b.letters)
+    h2 = G.act(pair.h, b.letters)
     assert h2 == normal_form(BraidWord(n, (1, 1, -2, -2))).g
     assert h2 == GnElement(n, 1, (0, -1, -1, 0, 0))
     support = ht_conjugate(pair.ht, b)
@@ -477,7 +492,7 @@ def test_degree_zero_part_is_closed():
         assert G.in_degree_zero(g)
         assert G.in_degree_zero(G.inv(g))
         i = rng.randint(1, 4)
-        assert G.in_degree_zero(G.apply(g, i, rng.choice([1, -1])))
+        assert G.in_degree_zero(G.act(g, (rng.choice([1, -1]) * i,)))
         h = GnElement(5, 0, (0,) + tuple(rng.randint(-3, 3) for _ in range(4)))
         assert G.in_degree_zero(G.mul(g, h))
 
@@ -501,3 +516,105 @@ def test_report_json():
     assert data["conditions"] == {"1": True, "2a": True, "2b": True, "3": True}
     assert data["bound"] is None
     assert data["seed"] == 7
+
+
+# ---------------------------------------------------------------------------
+# the action member
+
+
+def _act_letter_by_letter(g, letters):
+    """The retired fold of the action-group interface, act_generator once
+    per letter: the differential oracle of GnInstance.act."""
+    for letter in letters:
+        g = act_generator(g, abs(letter), 1 if letter > 0 else -1)
+    return g
+
+
+def test_act_matches_the_letter_by_letter_fold():
+    rng = random.Random(67)
+    for n in range(4, 13):
+        G = GnInstance(n)
+        sequences = [(), quadrangle_relator(n).letters, c_word(n).letters]
+        sequences += [(s * i,) for i in range(1, n) for s in (1, -1)]
+        sequences += [random_word(n, 30, rng).letters for _ in range(3)]
+        for _ in range(3):
+            g = GnElement(n, rng.randint(0, 1), tuple(rng.randint(-9, 9) for _ in range(n)))
+            for letters in sequences:
+                assert G.act(g, letters) == _act_letter_by_letter(g, letters), (g, letters)
+            for letter in (0, n, -n):
+                with pytest.raises(ValueError):
+                    G.act(g, (1, letter))
+
+
+# ---------------------------------------------------------------------------
+# a second action group: the finite quotient G(n)/4Z^n
+
+
+def _mod4(g):
+    """The image in G(n)/4Z^n, with coordinates in 0..3.  The elements
+    (0, v) with v = 0 mod 4 form a central, action-invariant subgroup: beta
+    reads only parities, and the bit terms of the action are even on it."""
+    return GnElement(g.n, g.bit, tuple([x % 4 for x in g.vec]))
+
+
+class Mod4Instance:
+    """G(n)/4Z^n, a finite TB_n-group of order 2 . 4^n, with exactly the
+    documented members of an action group."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def identity(self):
+        return gn_identity(self.n)
+
+    def mul(self, a, b):
+        return _mod4(gn_mul(a, b))
+
+    def inv(self, a):
+        return _mod4(gn_inv(a))
+
+    def eq(self, a, b):
+        return a == b
+
+    def act(self, g, letters):
+        return _mod4(act_word(g, BraidWord(self.n, tuple(letters))))
+
+    def generating_set(self):
+        return [gn_generator(self.n, k) for k in range(self.n)]
+
+    def degree_zero_generators(self):
+        return self.generating_set()[1:] + [gn_nu(self.n)]
+
+    def subgroup_membership(self, generators):
+        # The preimage in G(n) of the subgroup: generators and 4Z^n.
+        kernel = [gn_pow(gn_generator(self.n, k), 4) for k in range(self.n)]
+        return GnInstance(self.n).subgroup_membership(list(generators) + kernel)
+
+
+def test_checkers_run_unchanged_on_the_finite_quotient():
+    n = 5
+    G, Q = GnInstance(n), Mod4Instance(n)
+    pair = canonical_prime(n)
+    rng = random.Random(73)
+    one, nu = gn_identity(n), gn_nu(n)
+    candidates = [(pair.h, nu), (gn_u(n, 1), nu), (gn_mul(pair.h, nu), nu), (pair.h, one),
+                  (gn_s1(n), nu), (nu, nu)]
+    candidates += [(GnElement(n, rng.randint(0, 1), tuple(rng.randint(-3, 3) for _ in range(n))),
+                    rng.choice((one, nu))) for _ in range(2)]
+    for u, tau in candidates:
+        for report, image in ((check_prime_frame(G, u, tau), check_prime_frame(Q, _mod4(u), tau)),
+                              (check_prop71(G, u), check_prop71(Q, _mod4(u)))):
+            assert list(image.conditions) == list(report.conditions)
+            # Reduction mod 4 is a homomorphism commuting with the action:
+            # what holds in G(5) holds on the image.
+            for name, passed in report.conditions.items():
+                assert image.conditions[name] or not passed, (u, tau, name)
+    h = _mod4(pair.h)
+    assert check_prime_frame(Q, h, nu).verdict == "pass"
+    assert check_prop71(Q, h, bound=3).verdict == "pass-up-to-bound(3)"
+    assert check_prop71(Q, gn_s1(n)).verdict == "fail(1a)"
+    image_pair = make_pair(Q, h, pair.ht)
+    assert image_pair.tau == nu
+    for _ in range(4):
+        target = HalfTwist(random_word(n, 6, rng), rng.randint(1, n - 1), rng.random() < 0.5)
+        assert transport(Q, image_pair, target) == _mod4(transport(G, pair, target))

@@ -3,6 +3,8 @@
 import contextlib
 import io
 
+import pytest
+
 from tbraid import quotient, verify
 from tbraid.braid import frame, inv_word
 from tbraid.cli import run
@@ -55,6 +57,12 @@ def test_suites_record_every_check_in_order_at_zero_cases():
         checks = fn(0, 0)
         assert list(checks) == SUITE_CHECKS[name], name
         assert all(v is True for v in checks.values()), name
+
+
+@pytest.mark.parametrize("name", list(SUITE_CHECKS))
+def test_suites_refuse_a_negative_case_count(name):
+    with pytest.raises(ValueError, match="cases must be >= 0, got -3"):
+        verify.SUITES[name](-3, 0)
 
 
 def test_prime_identity_suite_reports_are_pinned():
