@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from typing import Callable
 
 from .braid import (
     BraidWord,
@@ -193,18 +194,15 @@ def _cmd_dump_tables(args) -> int:
     return 0
 
 
-def count(text: str, minimum: int = 0) -> int:
-    """The argparse type of --bound: an integer of at least minimum."""
-    value = int(text)
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-    return value
-
-
-def positive(text: str) -> int:
-    """The argparse type of --cases: with no sampled case, verify would
-    report a pass that sampled nothing."""
-    return count(text, 1)
+def at_least(minimum: int) -> Callable[[str], int]:
+    """The argparse type of an integer >= minimum, named count in argparse's
+    messages (--cases needs 1: no sampled case would pass vacuously)."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=None, help="number of strands")
     parser.add_argument("--json", action="store_true", help="emit one JSON document")
     parser.add_argument("--seed", type=int, default=0, help="randomness seed")
-    parser.add_argument("--cases", type=positive, default=200,
+    parser.add_argument("--cases", type=at_least(1), default=200,
                         help="randomized-suite size for verify")
-    parser.add_argument("--bound", type=count, default=3,
+    parser.add_argument("--bound", type=at_least(0), default=3,
                         help="orbit bound for the generation criterion")
     parser.add_argument("--dump-tables", action="store_true",
                         help="print the coordinate and action tables and exit")
@@ -265,13 +263,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("element")
     # A subcommand copy of a global option leaves the global value in place
     # unless it is given, and then wins.
-    p.add_argument("--bound", type=count, default=argparse.SUPPRESS)
+    p.add_argument("--bound", type=at_least(0), default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_prop71_check)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", nargs="?", default="all",
                    choices=sorted(SUITES) + ["all"])
-    p.add_argument("--cases", type=positive, default=argparse.SUPPRESS)
+    p.add_argument("--cases", type=at_least(1), default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 

@@ -40,7 +40,7 @@ and 0 for X_2) are nonzero.  action_step derives these O(1) terms once per
 letter from the generator images, which stay the single source of truth, and
 checks them against the generic product of powers (_apply_images) before use;
 its flat tuple is the one runtime form of the action, applied by
-act_generator and act_word here and by the scan in the quotient module.
+act_generator, act_letters and act_word here and by the quotient's scan.
 
 Elements also serve as the pure-braid coordinates of the quotient's normal
 form: s_ij below is the image of the squared half-twist with endpoints
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .braid import BraidWord
@@ -257,8 +258,8 @@ def action_inverse_images(n: int, i: int) -> tuple[GnElement, ...]:
 @lru_cache(maxsize=None)
 def action_step(n: int, letter: int) -> tuple:
     """The closed form of the letter X_i^sign = letter (see the module
-    docstring), the one form of the action that act_generator, act_word and
-    the quotient's scan apply: the flat tuple (i, row, linear, diagonal,
+    docstring), the one form of the action that act_generator, act_letters
+    and the quotient's scan apply: the flat tuple (i, row, linear, diagonal,
     cross), every part O(1) long because X_i moves only the generators i-1,
     i, i+1 (and 0 for X_2).
 
@@ -334,11 +335,16 @@ def act_generator(g: GnElement, i: int, sign: int) -> GnElement:
     return _act_steps(g, (action_step(g.n, sign * i),))
 
 
+def act_letters(g: GnElement, letters: Iterable[int]) -> GnElement:
+    """Right action of signed letters read left to right (see action_step)."""
+    return _act_steps(g, map(action_step, repeat(g.n), letters))
+
+
 def act_word(g: GnElement, w: BraidWord) -> GnElement:
     """Right action of a braid word, folded letter by letter."""
     if g.n != w.n:
         raise ValueError(f"mismatched sizes {g.n} and {w.n}")
-    return _act_steps(g, [action_step(g.n, letter) for letter in w.letters])
+    return act_letters(g, w.letters)
 
 
 # ---------------------------------------------------------------------------

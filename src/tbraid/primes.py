@@ -42,7 +42,7 @@ import dataclasses
 import functools
 import itertools
 import random
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .braid import (
     BraidWord,
@@ -58,18 +58,18 @@ from .braid import (
     inv_word,
     random_word,
 )
-from .gn import (GnElement, _act_steps, action_step, gn_generator, gn_identity, gn_inv, gn_mul,
-                 gn_nu, gn_pow, q_value)
+from .gn import (GnElement, act_letters, gn_generator, gn_identity, gn_inv, gn_mul, gn_nu,
+                 gn_pow, q_value)
 from .quotient import c_word, normal_form, tbn_equal
 
 
 class GnInstance:
     """The coordinate group G(n) as an action group; elements are GnElement.
 
-    act folds the closed-form steps gn.action_step with the loop act_word
-    runs; a letter 0 or of absolute value >= n raises ValueError.  The
-    degree-zero subgroup (vanishing first coordinate) is closed under the
-    action and under products within fixed degree.
+    act is gn.act_letters, the step loop act_word runs; a letter 0 or of
+    absolute value >= n raises ValueError.  The degree-zero subgroup
+    (vanishing first coordinate) is closed under the action and under
+    products within fixed degree.
     """
 
     def __init__(self, n: int):
@@ -89,8 +89,7 @@ class GnInstance:
     def eq(self, a: GnElement, b: GnElement) -> bool:
         return a == b
 
-    def act(self, g: GnElement, letters: Iterable[int]) -> GnElement:
-        return _act_steps(g, [action_step(g.n, letter) for letter in letters])
+    act = staticmethod(act_letters)
 
     def in_degree_zero(self, g: GnElement) -> bool:
         return g.vec[0] == 0
@@ -143,7 +142,13 @@ class PrimeReport:
         return self.verdict.startswith("pass")
 
     def to_json(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            "verdict": self.verdict,
+            "conditions": self.conditions,
+            "bound": self.bound,
+            "seed": self.seed,
+            "witness": self.witness,
+        }
 
 
 class Checks(dict[str, bool]):
@@ -300,15 +305,14 @@ def check_prop71(G, S, generators: Sequence | None = None, bound: int = 3,
 
 def _bounded_orbit(G, S, bound: int) -> list:
     """Orbit of S under every conjugator word of length <= bound."""
-    n = G.n
-    letters = [s * i for i in range(1, n) for s in (1, -1)]
+    moves = [(s * i,) for i in range(1, G.n) for s in (1, -1)]
     seen = {S}
     frontier = [S]
     for _ in range(bound):
         new_frontier = []
         for g in frontier:
-            for letter in letters:
-                moved = G.act(g, (letter,))
+            for move in moves:
+                moved = G.act(g, move)
                 if moved not in seen:
                     seen.add(moved)
                     new_frontier.append(moved)
@@ -463,13 +467,9 @@ def _cp_generator_words(n: int, i: int) -> list[BraidWord]:
     """Elements of the polarized centralizer of the frame half-twist X_i:
     its square, the squares conjugated through each consecutive neighbour,
     and the frame generators disjoint from it."""
-    words = [BraidWord(n, (i, i))]
-    if i + 1 <= n - 1:
-        words.append(BraidWord(n, (i + 1, i, i, i + 1)))
-    if i - 1 >= 1:
-        words.append(BraidWord(n, (i - 1, i, i, i - 1)))
-    words.extend(BraidWord(n, (j,)) for j in range(1, n) if abs(j - i) >= 2)
-    return words
+    return ([BraidWord(n, (i, i))]
+            + [BraidWord(n, (j, i, i, j)) for j in (i + 1, i - 1) if 1 <= j <= n - 1]
+            + [BraidWord(n, (j,)) for j in range(1, n) if abs(j - i) >= 2])
 
 
 CP_WORD_LENGTH = 3
@@ -524,12 +524,7 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
            and G.eq(G.act(h, x + x), h))
 
     # Consecutive neighbours of the support: conjugates of the frame pair.
-    neighbours = []
-    if X.index + 1 <= n - 1:
-        neighbours.append(HalfTwist(X.conj, X.index + 1))
-    if X.index - 1 >= 1:
-        neighbours.append(HalfTwist(X.conj, X.index - 1))
-    for Y in neighbours:
+    for Y in (HalfTwist(X.conj, j) for j in (X.index + 1, X.index - 1) if 1 <= j <= n - 1):
         y_inv = inv_word(ht_word(Y)).letters
         checks("neighbour-inverse-square", G.eq(G.act(h, y_inv + y_inv), G.mul(h, tau)))
         h_y = G.act(h, y_inv)

@@ -184,6 +184,8 @@ def test_negative_cases_is_a_usage_error():
         code, out, err = invoke(argv)
         assert (code, out) == (2, "")
         assert "argument --cases: must be >= 1" in err
+    code, out, err = invoke(["--n", "5", "verify", "tits", "--cases", "x"])
+    assert (code, out) == (2, "") and "argument --cases: invalid count value: 'x'" in err
     code, out, _ = invoke(["--n", "5", "verify", "tits", "--cases", "1"])
     assert code == 0 and out.endswith("all: pass\n")
 

@@ -34,6 +34,7 @@ from tbraid.gn import (
 from tbraid.primes import (
     GnInstance,
     PolarizedPair,
+    _bounded_orbit,
     _finish_report,
     _reduce_subgroup,
     _reduced_contains,
@@ -544,6 +545,19 @@ def test_act_matches_the_letter_by_letter_fold():
             for letter in (0, n, -n):
                 with pytest.raises(ValueError):
                     G.act(g, (1, letter))
+
+
+def test_bounded_orbit_is_the_image_under_every_short_word():
+    rng = random.Random(71)
+    n, bound = 5, 3
+    G = GnInstance(n)
+    letters = [s * i for i in range(1, n) for s in (1, -1)]
+    for S in (canonical_prime(n).h, GnElement(n, 1, tuple(rng.randint(-3, 3) for _ in range(n)))):
+        orbit = _bounded_orbit(G, S, bound)
+        words = itertools.chain.from_iterable(
+            itertools.product(letters, repeat=k) for k in range(bound + 1))
+        assert len(orbit) == len(set(orbit))
+        assert set(orbit) == {act_word(S, BraidWord(n, w)) for w in words}
 
 
 # ---------------------------------------------------------------------------
