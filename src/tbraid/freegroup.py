@@ -9,7 +9,9 @@ elements is plain equality of letter tuples.
 
 The only nontrivial operation is fw_apply, the substitution homomorphism: it
 sends each generator to a prescribed word and extends multiplicatively.  The
-braid module uses it to realise braid groups as automorphisms of F_n.
+verify module's injectivity sample uses it.  The braid module realises braid
+groups as automorphisms of F_n through FreeWord alone: its one-letter step
+substitutes the letters itself and lets the constructor reduce them.
 """
 
 from __future__ import annotations

@@ -183,7 +183,6 @@ def embed(g: GnElement, m: int) -> GnElement:
 # the generator action
 
 
-@lru_cache(maxsize=None)
 def action_images(n: int, i: int) -> tuple[GnElement, ...]:
     """Images of the canonical generators under the action of X_i.
 
@@ -234,7 +233,6 @@ def _apply_images(images: Sequence[GnElement], g: GnElement) -> GnElement:
     return out
 
 
-@lru_cache(maxsize=None)
 def action_inverse_images(n: int, i: int) -> tuple[GnElement, ...]:
     """Images of the canonical generators under the inverse of the X_i
     action.  The abelianized X_i action is an involution, so each forward

@@ -3,12 +3,13 @@ Prime elements of groups acted on by the transversal-commutator quotient.
 
 A group G together with a right action of TB_n by automorphisms is called an
 action group here.  The checkers use exactly these members of it: n,
-identity(), mul(a, b), inv(a), eq(a, b), act(g, letters) (the right action
-of a sequence of signed letters, X_i^sign written sign * i, read left to
-right), generating_set(), degree_zero_generators() (the default targets of
-condition 0 of check_prop71) and subgroup_membership(gens) (the exact
-membership test t -> bool of the subgroup generated by gens).  Elements must
-be hashable.  GnInstance, the coordinate group, is the built-in one.
+identity(), mul(a, b), inv(a), act(g, letters) (the right action of a
+sequence of signed letters, X_i^sign written sign * i, read left to right),
+generating_set(), degree_zero_generators() (the targets of condition 0 of
+check_prop71) and subgroup_membership(gens) (the exact membership test
+t -> bool of the subgroup generated by gens).  Elements compare with ==,
+which is equality in the group and must agree with hash.  GnInstance, the
+coordinate group, is the built-in one.
 
 An element g of such a group is prime with supporting half-twist X and
 central element tau (tau central, tau^2 = 1, fixed by the action) when
@@ -64,12 +65,13 @@ from .quotient import c_word, normal_form, tbn_equal
 
 
 class GnInstance:
-    """The coordinate group G(n) as an action group; elements are GnElement.
+    """The coordinate group G(n) as an action group; elements are GnElement,
+    whose == and hash compare canonical forms.
 
     act is gn.act_letters, the step loop act_word runs; a letter 0 or of
     absolute value >= n raises ValueError.  The degree-zero subgroup
-    (vanishing first coordinate) is closed under the action and under
-    products within fixed degree.
+    (vanishing first coordinate, g.vec[0] == 0) is closed under the action
+    and under products within fixed degree.
     """
 
     def __init__(self, n: int):
@@ -86,19 +88,13 @@ class GnInstance:
     def inv(self, a: GnElement) -> GnElement:
         return gn_inv(a)
 
-    def eq(self, a: GnElement, b: GnElement) -> bool:
-        return a == b
-
     act = staticmethod(act_letters)
-
-    def in_degree_zero(self, g: GnElement) -> bool:
-        return g.vec[0] == 0
 
     def generating_set(self) -> list[GnElement]:
         return [gn_generator(self.n, k) for k in range(self.n)]
 
     def degree_zero_generators(self) -> list[GnElement]:
-        return [g for g in self.generating_set() if self.in_degree_zero(g)] + [gn_nu(self.n)]
+        return [g for g in self.generating_set() if g.vec[0] == 0] + [gn_nu(self.n)]
 
     def subgroup_membership(self, generators: Sequence[GnElement]) -> Callable[[GnElement], bool]:
         """Membership in the subgroup generated by generators, reduced once."""
@@ -184,15 +180,15 @@ def _adjacent_identities(G, g, x: tuple[int, ...], y: tuple[int, ...]) -> tuple[
     """Axiom (2) for g on the adjacent half-twists X and Y with words x and
     y: identities (a) and (b) of the module docstring."""
     x_inv, y_inv = tuple(-a for a in reversed(x)), tuple(-a for a in reversed(y))
-    a = G.eq(G.act(g, y_inv + x_inv), G.mul(G.inv(g), G.act(g, y_inv)))
-    b = G.eq(G.act(g, x + y_inv + x_inv), G.mul(G.inv(G.act(g, x)), G.act(g, x + y_inv)))
+    a = G.act(g, y_inv + x_inv) == G.mul(G.inv(g), G.act(g, y_inv))
+    b = G.act(g, x + y_inv + x_inv) == G.mul(G.inv(G.act(g, x)), G.act(g, x + y_inv))
     return a, b
 
 
 def _frame_identities(G, u) -> tuple[bool, bool, bool]:
     """The identities both criteria impose on u: conditions 2a, 2b and 3 of
     check_prime_frame, which are conditions 1a, 1b and 3 of check_prop71."""
-    far = all(G.eq(G.act(u, (j,)), u) for j in range(3, G.n))
+    far = all(G.act(u, (j,)) == u for j in range(3, G.n))
     return (*_adjacent_identities(G, u, (1,), (2,)), far)
 
 
@@ -230,19 +226,19 @@ def check_prime_frame(G, u, tau, seed: int = 0) -> PrimeReport:
         letters = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(4)]
         centrality_sample.append(G.act(u, letters))
 
-    cond1 = G.eq(G.act(u, (-1,)), G.mul(G.inv(u), tau))
+    cond1 = G.act(u, (-1,)) == G.mul(G.inv(u), tau)
     if not cond1:
         witness["1"] = "u_{X_1^-1} != u^-1 tau"
-    if not G.eq(G.mul(tau, tau), G.identity()):
+    if G.mul(tau, tau) != G.identity():
         cond1 = False
         witness["1"] = "tau^2 != 1"
     for j in range(1, n):
-        if not (G.eq(G.act(tau, (j,)), tau) and G.eq(G.act(tau, (-j,)), tau)):
+        if G.act(tau, (j,)) != tau or G.act(tau, (-j,)) != tau:
             cond1 = False
             witness["1"] = f"tau moved by generator {j}"
             break
     for sample in centrality_sample:
-        if not G.eq(G.mul(tau, sample), G.mul(sample, tau)):
+        if G.mul(tau, sample) != G.mul(sample, tau):
             cond1 = False
             witness["1"] = "tau fails to commute with a sampled element"
             break
@@ -256,14 +252,13 @@ def check_prime_frame(G, u, tau, seed: int = 0) -> PrimeReport:
 # the generation criterion
 
 
-def check_prop71(G, S, generators: Sequence | None = None, bound: int = 3,
-                 seed: int = 0) -> PrimeReport:
+def check_prop71(G, S, bound: int = 3, seed: int = 0) -> PrimeReport:
     """Check the generation criterion for S (needs n >= 5).
 
     Conditions:
 
         0:  the subgroup generated by the orbit of S under conjugator words
-            of length <= bound contains the configured generating set
+            of length <= bound contains G.degree_zero_generators()
             (bounded surrogate for "the orbit generates G");
         1a: S_{X_2^-1 X_1^-1} = S^-1 . S_{X_2^-1};
         1b: S_{X_1 X_2^-1 X_1^-1} = S_{X_1}^-1 . S_{X_1 X_2^-1};
@@ -282,21 +277,18 @@ def check_prop71(G, S, generators: Sequence | None = None, bound: int = 3,
     if bound < 0:
         raise ValueError(f"the orbit bound must be >= 0, got {bound}")
     witness: dict = {}
-    if generators is None:
-        generators = G.degree_zero_generators()
-
     contains = G.subgroup_membership(_bounded_orbit(G, S, bound))
-    cond0 = all(contains(target) for target in generators)
+    cond0 = all(contains(target) for target in G.degree_zero_generators())
     if not cond0:
         witness["0"] = "a configured generator is outside the bounded orbit subgroup"
 
     cond1a, cond1b, cond3 = _frame_identities(G, S)
     tau = make_pair(G, S, frame(n, 1)).tau
     T = G.act(S, (-2,))
-    cond2a = G.eq(G.act(tau, (1, 1)), tau)
+    cond2a = G.act(tau, (1, 1)) == tau
     tau_T = G.mul(G.inv(T), G.mul(tau, T))
-    cond2b = G.eq(tau_T, G.act(G.inv(tau), (1,)))
-    cond4 = G.eq(G.act(S, c_word(n).letters), S)
+    cond2b = tau_T == G.act(G.inv(tau), (1,))
+    cond4 = G.act(S, c_word(n).letters) == S
 
     conditions = {"0": cond0, "1a": cond1a, "1b": cond1b,
                   "2a": cond2a, "2b": cond2b, "3": cond3, "4": cond4}
@@ -421,8 +413,7 @@ def canonical_prime(n: int) -> PolarizedPair:
 # sampled axiom checks
 
 
-def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist],
-                     tau, seed: int = 0) -> PrimeReport:
+def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist], tau) -> PrimeReport:
     """Check the prime-element axioms for g against sampled half-twists.
 
     Samples sharing one endpoint with X exercise axiom (2); samples with no
@@ -434,8 +425,8 @@ def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist],
     witness: dict = {"checked": {"2": 0, "3": 0, "skipped": 0}}
     x_word = ht_word(X)
     x_inv = inv_word(x_word)
-    cond1 = G.eq(G.act(g, x_inv.letters), G.mul(G.inv(g), tau))
-    cond1 = cond1 and G.eq(G.mul(tau, tau), G.identity())
+    cond1 = G.act(g, x_inv.letters) == G.mul(G.inv(g), tau)
+    cond1 = cond1 and G.mul(tau, tau) == G.identity()
     cond2 = True
     cond3 = True
     for Y in samples:
@@ -450,13 +441,13 @@ def axiom_spot_check(G, g, X: HalfTwist, samples: Sequence[HalfTwist],
                 witness["2"] = "axiom (2) failed on an adjacent sample"
         elif common == 0 and tbn_equal(concat(x_word, y_word, x_inv), y_word):
             witness["checked"]["3"] += 1
-            if not G.eq(G.act(g, y_word.letters), g):
+            if G.act(g, y_word.letters) != g:
                 cond3 = False
                 witness["3"] = "a commuting weakly disjoint sample moved g"
         else:
             witness["checked"]["skipped"] += 1
     conditions = {"1": cond1, "2": cond2, "3": cond3}
-    return _finish_report(conditions, None, seed, witness)
+    return _finish_report(conditions, None, 0, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +511,15 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
     h_x = G.act(h, x)
     h_xinv = G.act(h, inv_word(ht_word(X)).letters)
     target = G.mul(G.inv(h), tau)
-    checks("support-involution", G.eq(h_x, target) and G.eq(h_xinv, target)
-           and G.eq(G.act(h, x + x), h))
+    checks("support-involution", h_x == target and h_xinv == target and G.act(h, x + x) == h)
 
     # Consecutive neighbours of the support: conjugates of the frame pair.
     for Y in (HalfTwist(X.conj, j) for j in (X.index + 1, X.index - 1) if 1 <= j <= n - 1):
         y_inv = inv_word(ht_word(Y)).letters
-        checks("neighbour-inverse-square", G.eq(G.act(h, y_inv + y_inv), G.mul(h, tau)))
+        checks("neighbour-inverse-square", G.act(h, y_inv + y_inv) == G.mul(h, tau))
         h_y = G.act(h, y_inv)
         comm = G.mul(G.mul(h, h_y), G.mul(G.inv(h), G.inv(h_y)))
-        checks("neighbour-commutator", G.eq(comm, tau))
+        checks("neighbour-commutator", comm == tau)
 
     # Orderly / non-orderly adjacent transports.
     checks("transport-support-inverse", True)
@@ -546,9 +536,9 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
         lYp = transport(G, pair, Yp)
         lT_tinv = G.act(lT, inv_word(ht_word(T)).letters)
         lT_yinv = G.act(lT, inv_word(ht_word(Y)).letters)
-        checks("transport-support-inverse", G.eq(lT_tinv, G.mul(G.inv(lT), tau)))
-        checks("transport-orderly-adjacent", G.eq(lT_yinv, G.mul(lT, lY)))
-        checks("transport-reversed-adjacent", G.eq(lT_yinv, G.mul(G.inv(lYp), lT)))
+        checks("transport-support-inverse", lT_tinv == G.mul(G.inv(lT), tau))
+        checks("transport-orderly-adjacent", lT_yinv == G.mul(lT, lY))
+        checks("transport-reversed-adjacent", lT_yinv == G.mul(G.inv(lYp), lT))
 
     # Commutator dichotomy over coherent pairs.
     checks("dichotomy-adjacent", True)
@@ -565,26 +555,26 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
             g1 = transport(G, pair, t1)
             g2 = transport(G, pair, t2)
             comm = G.mul(G.mul(g1, g2), G.mul(G.inv(g1), G.inv(g2)))
-            checks(f"dichotomy-{kind}", G.eq(comm, tau if kind == "adjacent" else G.identity()))
+            checks(f"dichotomy-{kind}", comm == (tau if kind == "adjacent" else G.identity()))
 
     # The transported frame family; the end indices have no step down or up.
     xi = {i: transport(G, pair, frame(n, i)) for i in range(1, n)}
     for i in range(1, n):
-        checks("frame-family-support", G.eq(G.act(xi[i], (-i,)), G.mul(G.inv(xi[i]), tau)))
-        checks("frame-family-step-down", i == 1 or G.eq(
-            G.act(xi[i], (-(i - 1),)), G.mul(xi[i], xi[i - 1])))
-        checks("frame-family-step-up", i == n - 1 or G.eq(
-            G.act(xi[i], (-(i + 1),)), G.mul(xi[i], xi[i + 1])))
-        checks("frame-family-far", all(G.eq(G.act(xi[i], (j,)), xi[i])
+        checks("frame-family-support", G.act(xi[i], (-i,)) == G.mul(G.inv(xi[i]), tau))
+        checks("frame-family-step-down",
+               i == 1 or G.act(xi[i], (-(i - 1),)) == G.mul(xi[i], xi[i - 1]))
+        checks("frame-family-step-up",
+               i == n - 1 or G.act(xi[i], (-(i + 1),)) == G.mul(xi[i], xi[i + 1]))
+        checks("frame-family-far", all(G.act(xi[i], (j,)) == xi[i]
                                        for j in range(1, n) if abs(j - i) >= 2))
         checks("frame-family-commutators", all(
-            G.eq(G.mul(G.mul(xi[i], xi[j]), G.mul(G.inv(xi[i]), G.inv(xi[j]))),
-                 tau if j == i + 1 else G.identity())
+            G.mul(G.mul(xi[i], xi[j]), G.mul(G.inv(xi[i]), G.inv(xi[j])))
+            == (tau if j == i + 1 else G.identity())
             for j in range(i + 1, n)))
 
     # Invariance under the polarized centralizer of the support (checked on
     # generators conjugated through the pair's own conjugator).
-    checks("centralizer-invariance", all(G.eq(G.act(h, conj_word(w, X.conj).letters), h)
+    checks("centralizer-invariance", all(G.act(h, conj_word(w, X.conj).letters) == h
                                          for w in _cp_generator_words(n, X.index)))
 
     # Simultaneous conjugation of h and its reversed partner.
@@ -597,7 +587,7 @@ def prime_identity_suite(G, pair: PolarizedPair, cases: int = 50,
         base = _transport_conjugator(X, tgt).letters
         g1, g2 = G.act(h, c1 + base), G.act(partner, c2 + base)
         checks("simultaneous-conjugation",
-               G.eq(G.act(h, base), g1) and G.eq(G.act(partner, base), g2))
+               G.act(h, base) == g1 and G.act(partner, base) == g2)
 
     return _finish_report(checks, None, seed, {})
 
@@ -612,6 +602,6 @@ def transport_uniqueness(G, pair: PolarizedPair, seed: int = 0) -> bool:
         base = _transport_conjugator(pair.ht, target).letters
         reference = G.act(pair.h, base)
         for _ in range(UNIQUENESS_PERTURBATIONS):
-            if not G.eq(G.act(pair.h, _random_cp_letters(pair.ht, rng) + base), reference):
+            if G.act(pair.h, _random_cp_letters(pair.ht, rng) + base) != reference:
                 return False
     return True

@@ -8,6 +8,7 @@ start states.  Mutants of the derived tables (every field of an action step
 and of a fused scan step) must be caught by the same comparisons.
 """
 
+import functools
 import os
 import random
 import subprocess
@@ -49,7 +50,10 @@ COORDINATES = range(-9, 10)
 SCAN_NS = range(4, 17)
 
 
+@functools.lru_cache(maxsize=None)
 def _images(n, i, sign):
+    # The generator images are the oracle of many samples per letter, and gn
+    # keeps no copy of them.
     return action_images(n, i) if sign > 0 else action_inverse_images(n, i)
 
 
