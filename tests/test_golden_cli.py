@@ -20,6 +20,14 @@ numbers, the lift and the tables: seeded words of 12 and 100 letters (a
 braid relation or a transversal commutator inserted, and w followed by its
 letters reversed, which is pure), half-twists with seeded 6-letter
 conjugators and elements with coordinates in [-3, 3].
+
+Further `tb eq --group bn` pairs, human and JSON, pin the verdicts that the
+exponent sum or the permutation decides before any normal form: one
+generator inserted, or X_i X_j^-1 inserted (same exponent sum, another
+permutation), on 100-letter words at n = 4, 5, 6, 8 and 16; and a braid
+relation or a transversal commutator inserted into 300-letter words at
+n = 8 and 16.  `tb classify` runs on consecutive, disjoint and transversal
+frame pairs conjugated by twist powers 1 to 3 at n = 4, 5 and 6.
 """
 
 import random
@@ -34,6 +42,8 @@ NS = (4, 8, 16)
 LENGTHS = (100, 100, 1000, 1000)
 PRIME_NS = (5, 8, 16)
 BN_NS = (4, 5, 6)
+INVARIANT_NS = (4, 5, 6, 8, 16)
+LONG_BN_NS = (8, 16)
 
 
 def _word(rng, n, length):
@@ -84,6 +94,7 @@ def cases():
     yield from prime_cases()
     yield "verify-all.n5", ["--n", "5", "--json", "verify", "all", "--cases", "50", "--seed", "7"]
     yield from braid_cases()
+    yield from bn_invariant_cases()
 
 
 def action_cases():
@@ -155,6 +166,48 @@ def braid_cases():
             yield f"lift.n{n}.{k}-json", head + ["--json", "lift", g]
         yield f"tables.n{n}", head + ["--dump-tables"]
         yield f"tables.n{n}-json", head + ["--json", "--dump-tables"]
+
+
+def _twisted_pair(rng, n, kind, power):
+    """A frame pair of the given kind at a random place a, both half-twists
+    conjugated by the twist (a, -(a+1))^power, with random polarizations."""
+    a = rng.randint(1, n - 2 if kind == "consecutive" else n - 3)
+    index1, index2, conj2 = {"consecutive": (a, a + 1, []), "disjoint": (a, a + 2, []),
+                             "transversal": (a + 1, a + 1, [a, a + 2])}[kind]
+    twist = [a, -(a + 1)] * power
+    return (_half_twist(rng, index1, twist), _half_twist(rng, index2, conj2 + twist))
+
+
+def bn_invariant_cases():
+    rng = random.Random(20261023)
+    for n in INVARIANT_NS:
+        head = ["--n", str(n)]
+        w = _word(rng, n, 100)
+        cut = rng.randint(0, 100)
+        i, j = rng.sample(range(1, n), 2)
+        generator = w[:cut] + [rng.choice((1, -1)) * rng.randint(1, n - 1)] + w[cut:]
+        moved = w[:cut] + [i, -j] + w[cut:]  # same exponent sum, another permutation
+        tag = f"bn-invariant.n{n}"
+        for kind, other in (("generator", generator), ("perm", moved)):
+            yield f"{tag}.{kind}", head + ["--json", "eq", "--group", "bn", _text(w), _text(other)]
+            yield f"{tag}.{kind}-human", head + ["eq", "--group", "bn", _text(other), _text(w)]
+    for n in LONG_BN_NS:
+        head = ["--n", str(n)]
+        w = _word(rng, n, 300)
+        i, cut = rng.randint(1, n - 2), rng.randint(0, 300)
+        same = w[:cut] + [i, i + 1, i, -(i + 1), -i, -(i + 1)] + w[cut:]
+        other = w[:cut] + list(transversal_commutator(n).letters) + w[cut:]
+        tag = f"bn.n{n}.L300"
+        yield f"{tag}.eq-same", head + ["--json", "eq", "--group", "bn", _text(w), _text(same)]
+        yield f"{tag}.eq-transversal", head + ["eq", "--group", "bn", _text(w), _text(other)]
+    for n in BN_NS:
+        head = ["--n", str(n)]
+        for power in (1, 2, 3):
+            for kind in ("consecutive", "disjoint", "transversal"):
+                ht1, ht2 = _twisted_pair(rng, n, kind, power)
+                tag = f"classify-twisted.n{n}.p{power}.{kind}"
+                yield f"{tag}", head + ["classify", ht1, ht2]
+                yield f"{tag}-json", head + ["--json", "classify", ht1, ht2]
 
 
 def render():
