@@ -11,10 +11,11 @@ Conventions, used consistently across the package:
   1 <= i <= n-1.  The letter +i is the frame generator X_i, the positive
   half-twist exchanging punctures i and i+1; -i is its inverse.  Words are
   kept verbatim (no reduction): equality in B_n is a semantic question and is
-  answered by bn_equal through the Garside left normal form, which is unique
-  to each element and polynomial in word length.  The Artin action below is
-  faithful as well, but its images grow exponentially with word length; it
-  stays as the executable witness of these conventions.
+  answered by bn_equal, by the exponent sum and psi first and then by the
+  Garside left normal form, unique to each element and polynomial in word
+  length.  The Artin action below is faithful as well, but its images grow
+  exponentially with word length; it stays as the executable witness of
+  these conventions.
 - Permutations are stored in one-line notation, the tuple ((1)p, ..., (n)p),
   and compose as right actions, matching psi.
 - The Artin action of X_i on the free group F_n sends
@@ -157,15 +158,20 @@ def psi(w: BraidWord) -> Perm:
     >>> psi(BraidWord(3, (1, 2, 1))).images
     (3, 2, 1)
     """
-    a = list(range(1, w.n + 1))
+    where = _invariants(w)  # the values, in order of position, are psi's one line
+    return Perm(w.n, tuple(sorted(range(1, w.n + 1), key=where.__getitem__)))
+
+
+def _invariants(w: BraidWord) -> list[int]:
+    """[exponent sum, then the position of each value 1..n in psi(w)], in one
+    pass: X_i^+-1 exchanges the positions of the values i and i+1."""
+    where, total = list(range(w.n + 1)), 0
     for letter in w.letters:
         i = abs(letter)
-        for x in range(w.n):
-            if a[x] == i:
-                a[x] = i + 1
-            elif a[x] == i + 1:
-                a[x] = i
-    return Perm(w.n, tuple(a))
+        where[i], where[i + 1] = where[i + 1], where[i]
+        total += 1 if letter > 0 else -1
+    where[0] = total
+    return where
 
 
 def exponent_sum(w: BraidWord) -> int:
@@ -291,12 +297,14 @@ def bn_normal_form(w: BraidWord) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def bn_equal(w1: BraidWord, w2: BraidWord) -> bool:
-    """Exact equality in B_n: the Garside normal forms agree.  The Artin
-    action is faithful too, but its images grow exponentially with word
-    length; it stays as the witness of the package's conventions."""
+    """Exact equality in B_n.  Words that differ in exponent sum or in psi,
+    two homomorphisms, are unequal (O(n + length)); the rest are compared by
+    their Garside normal forms.  The Artin action is faithful too, but its
+    images grow exponentially with word length; it stays as the witness of
+    the package's conventions."""
     if w1.n != w2.n:
         raise ValueError(f"mismatched strand counts {w1.n} and {w2.n}")
-    return bn_normal_form(w1) == bn_normal_form(w2)
+    return _invariants(w1) == _invariants(w2) and bn_normal_form(w1) == bn_normal_form(w2)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,28 @@ def test_psi_is_a_right_action():
             assert combined(x) == psi(w2)(psi(w1)(x))
 
 
+def psi_by_scanning(w):
+    """psi by the definition: each letter +-i scans all n positions and
+    exchanges the values i and i+1 wherever they stand."""
+    a = list(range(1, w.n + 1))
+    for letter in w.letters:
+        i = abs(letter)
+        for x in range(w.n):
+            if a[x] == i:
+                a[x] = i + 1
+            elif a[x] == i + 1:
+                a[x] = i
+    return Perm(w.n, tuple(a))
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_psi_matches_the_scanning_oracle(n):
+    rng = random.Random(300 + n)
+    for length in [0, 1, 2, 200] + [rng.randint(0, 200) for _ in range(20)]:
+        w = BraidWord(n, tuple(rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)))
+        assert psi(w) == psi_by_scanning(w), format_word(w)
+
+
 def test_artin_images_examples():
     imgs = artin_images(BraidWord(3, (1,)))
     assert [w.letters for w in imgs] == [(2,), (2, 1, -2), (3,)]

@@ -1,7 +1,10 @@
-"""The Garside left normal form of B_n against the Artin action.
+"""The Garside left normal form of B_n against the Artin action, and
+bn_equal against the normal forms alone.
 
-bn_equal decides equality through bn_normal_form; the Artin action, which is
-faithful, is the differential oracle here.
+bn_equal answers "not equal" when the exponent sum or the permutation
+differs, and otherwise compares bn_normal_form; the Artin action, which is
+faithful, is the differential oracle of the normal form here, and the
+unfiltered comparison of normal forms is the oracle of bn_equal.
 """
 
 import itertools
@@ -16,14 +19,18 @@ from pathlib import Path
 import pytest
 
 import tbraid
+from tbraid import braid
 from tbraid.braid import (
     BraidWord,
+    HalfTwist,
     Perm,
     artin_images,
     bn_equal,
     bn_normal_form,
+    commutator_word,
     concat,
     format_word,
+    ht_word,
     inv_word,
     power_word,
     psi,
@@ -89,6 +96,11 @@ def rewrite(w, rng, steps=12):
     return BraidWord(w.n, tuple(letters))
 
 
+def insert(w, extra, rng):
+    p = rng.randint(0, len(w))
+    return BraidWord(w.n, w.letters[:p] + tuple(extra) + w.letters[p:])
+
+
 def nontrivial_insert(w, rng):
     """w with a nontrivial element of B_n inserted: a kernel word of the
     quotient map (n >= 4) or one generator."""
@@ -97,8 +109,7 @@ def nontrivial_insert(w, rng):
         extra = rng.choice([transversal_commutator(n), quadrangle_relator(n)])
     else:
         extra = BraidWord(n, (rng.choice([1, -1]) * rng.randint(1, n - 1),))
-    p = rng.randint(0, len(w))
-    return BraidWord(n, w.letters[:p] + extra.letters + w.letters[p:])
+    return insert(w, extra.letters, rng)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -113,6 +124,79 @@ def test_bn_equal_matches_the_artin_oracle_on_seeded_pairs(n):
             equal += expected
             unequal += not expected
     assert equal == 60 and unequal == 60
+
+
+def half_twist_pairs(n, rng):
+    """Consecutive, disjoint and transversal frame pairs conjugated by one
+    random word (the last two for n >= 4), and a pair of random half-twists."""
+    b = random_word(n, 6, rng)
+    a = rng.randint(1, n - 2)
+    yield HalfTwist(b, a), HalfTwist(b, a + 1)
+    if n >= 4:
+        a = rng.randint(1, n - 3)
+        yield HalfTwist(b, a), HalfTwist(b, a + 2)
+        yield HalfTwist(b, a + 1), HalfTwist(concat(BraidWord(n, (a, a + 2)), b), a + 1)
+    yield (HalfTwist(random_word(n, 6, rng), rng.randint(1, n - 1)),
+           HalfTwist(random_word(n, 6, rng), rng.randint(1, n - 1)))
+
+
+def seeded_pairs(n, rng, draws=15):
+    """(kind, w1, w2) for every kind of pair that bn_equal is asked about:
+    a braid-relation rewrite (equal); one generator inserted (another
+    exponent sum); X_i X_j^-1 inserted with i != j (the same exponent sum,
+    another permutation); a transversal commutator or a quadrangle relator
+    inserted (both invariants agree, unequal); and the commutator and triple
+    words of classify_pair."""
+    for _ in range(draws):
+        w = random_word(n, 16, rng)
+        i, j = rng.sample(range(1, n), 2)
+        yield "rewrite", w, rewrite(w, rng)
+        yield "generator", w, insert(w, [rng.choice([1, -1]) * rng.randint(1, n - 1)], rng)
+        yield "swap", w, insert(w, [i, -j], rng)
+        if n >= 4:
+            yield "transversal", w, insert(w, transversal_commutator(n).letters, rng)
+            yield "quadrangle", w, insert(w, quadrangle_relator(n).letters, rng)
+        for h1, h2 in half_twist_pairs(n, rng):
+            w1, w2 = ht_word(h1), ht_word(h2)
+            yield "commutator", commutator_word(w1, w2), BraidWord(n, ())
+            yield "triple", concat(w1, w2, w1), concat(w2, w1, w2)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_bn_equal_matches_the_unfiltered_normal_forms(n):
+    verdicts = {}
+    for kind, w1, w2 in seeded_pairs(n, random.Random(3000 + n)):
+        expected = bn_normal_form(w1) == bn_normal_form(w2)
+        assert bn_equal(w1, w2) == expected, (kind, format_word(w1), format_word(w2))
+        verdicts.setdefault(kind, set()).add(expected)
+    assert verdicts.pop("rewrite") == {True}
+    assert verdicts.pop("triple") == verdicts.pop("commutator") == {True, False}
+    assert verdicts == {kind: {False} for kind in verdicts}
+    assert len(verdicts) == (2 if n == 3 else 4)
+
+
+class ReachedNormalForm(Exception):
+    pass
+
+
+def test_unequal_invariants_never_reach_the_normal_form(monkeypatch):
+    def refuse(w):
+        raise ReachedNormalForm(format_word(w))
+
+    monkeypatch.setattr(braid, "bn_normal_form", refuse)
+    reached = set()
+    for n in range(3, 9):
+        for kind, w1, w2 in seeded_pairs(n, random.Random(4000 + n), draws=5):
+            decided = (braid.exponent_sum(w1), psi(w1)) != (braid.exponent_sum(w2), psi(w2))
+            if decided:
+                assert not bn_equal(w1, w2), (kind, format_word(w1), format_word(w2))
+            else:
+                with pytest.raises(ReachedNormalForm):
+                    bn_equal(w1, w2)
+                reached.add(kind)
+            if kind not in ("commutator", "triple"):
+                assert decided == (kind in ("generator", "swap")), kind
+    assert {"rewrite", "transversal", "quadrangle", "commutator"} <= reached
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])

@@ -175,7 +175,7 @@ def _twisted_pair(rng, n, kind, power):
     index1, index2, conj2 = {"consecutive": (a, a + 1, []), "disjoint": (a, a + 2, []),
                              "transversal": (a + 1, a + 1, [a, a + 2])}[kind]
     twist = [a, -(a + 1)] * power
-    return (_half_twist(rng, index1, twist), _half_twist(rng, index2, conj2 + twist))
+    return _half_twist(rng, index1, twist), _half_twist(rng, index2, conj2 + twist)
 
 
 def bn_invariant_cases():
