@@ -28,9 +28,17 @@ permutation), on 100-letter words at n = 4, 5, 6, 8 and 16; and a braid
 relation or a transversal commutator inserted into 300-letter words at
 n = 8 and 16.  `tb classify` runs on consecutive, disjoint and transversal
 frame pairs conjugated by twist powers 1 to 3 at n = 4, 5 and 6.
+
+`tb --help`, `tb verify --help` (its suite choices) and `tb --n 16
+--dump-tables`, human and JSON, pin the parser, which names the suites
+without importing the verification layer, and the action tables at a size
+whose images are built from the moved generators alone.  Help is rendered
+80 columns wide, whatever the terminal.
 """
 
+import os
 import random
+from unittest import mock
 from pathlib import Path
 
 from test_cli import invoke
@@ -95,6 +103,10 @@ def cases():
     yield "verify-all.n5", ["--n", "5", "--json", "verify", "all", "--cases", "50", "--seed", "7"]
     yield from braid_cases()
     yield from bn_invariant_cases()
+    yield "help", ["--help"]
+    yield "verify-help", ["verify", "--help"]
+    yield "tables.n16", ["--n", "16", "--dump-tables"]
+    yield "tables.n16-json", ["--n", "16", "--json", "--dump-tables"]
 
 
 def action_cases():
@@ -213,10 +225,11 @@ def bn_invariant_cases():
 def render():
     """The golden file's text: one block per case, name, exit code, stdout."""
     blocks = []
-    for name, argv in cases():
-        code, out, err = invoke(argv)
-        assert err == "", (name, err)
-        blocks.append(f"== {name} exit={code}\n{out}")
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        for name, argv in cases():
+            code, out, err = invoke(argv)
+            assert err == "", (name, err)
+            blocks.append(f"== {name} exit={code}\n{out}")
     return "".join(blocks)
 
 
