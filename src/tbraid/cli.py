@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from typing import Callable
 
@@ -32,13 +31,15 @@ from .braid import (
     parse_word,
 )
 from .gn import act_word, action_images, format_element, gn_nu, parse_element, s_ij
-from .primes import GnInstance, check_prime_frame, check_prop71
 from .quotient import in_kernel, lift, normal_form, tbn_equal
-from .verify import SUITES
+
+# The names of verify.SUITES: only the commands that need primes or verify import them.
+SUITE_NAMES = ("artin", "tits", "gn-presentation", "gn-action", "quotient", "kernel", "primes")
 
 
 def _emit(args, payload, human: str) -> None:
     if args.json:
+        import json
         sys.stdout.write(json.dumps(payload, separators=(",", ":")) + "\n")
     else:
         sys.stdout.write(human + "\n")
@@ -144,6 +145,7 @@ def _report_exit(args, report) -> int:
 
 
 def _cmd_prime_check(args) -> int:
+    from .primes import GnInstance, check_prime_frame
     _require_n(args, 4, "the frame criterion")
     G = GnInstance(args.n)
     u = parse_element(args.element, args.n)
@@ -152,6 +154,7 @@ def _cmd_prime_check(args) -> int:
 
 
 def _cmd_prop71_check(args) -> int:
+    from .primes import GnInstance, check_prop71
     _require_n(args, 5, "the generation criterion")
     G = GnInstance(args.n)
     S = parse_element(args.element, args.n)
@@ -159,6 +162,7 @@ def _cmd_prop71_check(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import SUITES
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results = {name: SUITES[name](args.cases, args.seed) for name in names}
     ok = all(all(checks.values()) for checks in results.values())
@@ -268,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("suite", nargs="?", default="all",
-                   choices=sorted(SUITES) + ["all"])
+                   choices=sorted(SUITE_NAMES) + ["all"])
     p.add_argument("--cases", type=at_least(1), default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)

@@ -37,10 +37,11 @@ i+1 (and 0 for X_2), and bit
 
 a quadratic form in which only terms with a moved generator (i-1, i, i+1,
 and 0 for X_2) are nonzero.  action_step derives these O(1) terms once per
-letter from the generator images, which stay the single source of truth, and
-checks them against the generic product of powers (_apply_images) before use;
-its flat tuple is the one runtime form of the action, applied by
-act_generator, act_letters and act_word here and by the quotient's scan.
+letter, in O(n), from the images of the moved generators (_moved_images, the
+one copy of the per-generator rules), and checks them against the generic
+product of powers (_apply_images) on the moved units before use; its flat
+tuple is the one runtime form of the action, applied by act_generator,
+act_letters and act_word here and by the quotient's scan.
 
 Elements also serve as the pure-braid coordinates of the quotient's normal
 form: s_ij below is the image of the squared half-twist with endpoints
@@ -52,7 +53,7 @@ from __future__ import annotations
 import dataclasses
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .braid import BraidWord
 
@@ -159,17 +160,20 @@ def s_ij(n: int, i: int, j: int) -> GnElement:
     """
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
-    if (i, j) == (1, 2):
-        return gn_s1(n)
-    factors: list[GnElement] = []
     if i >= 2:
-        factors.append(gn_nu(n))
-        factors.extend(gn_u(n, m) for m in range(j - 1, 0, -1))
-        factors.extend(gn_u(n, m) for m in range(i - 1, 1, -1))
+        bit, factors = 1, [*range(j - 1, 0, -1), *range(i - 1, 1, -1), 0]
     else:
-        factors.extend(gn_u(n, m) for m in range(j - 1, 1, -1))
-    factors.append(gn_s1(n))
-    return gn_product(factors, n)
+        bit, factors = 0, [*range(j - 1, 1, -1), 0]
+    # Multiplied out left to right on one vector, O(1) per factor: the
+    # generator g_m adds beta(vec, e_m), the coordinates k with (k, m) a Q-pair.
+    above = [[] for _ in range(n)]
+    for k, m in _q_pairs(n):
+        above[m].append(k)
+    vec = [0] * n
+    for m in factors:
+        bit += sum([vec[k] for k in above[m]])
+        vec[m] += 1
+    return GnElement(n, bit, tuple(vec))
 
 
 def embed(g: GnElement, m: int) -> GnElement:
@@ -183,10 +187,9 @@ def embed(g: GnElement, m: int) -> GnElement:
 # the generator action
 
 
-def action_images(n: int, i: int) -> tuple[GnElement, ...]:
-    """Images of the canonical generators under the action of X_i.
-
-    Per-generator rules (everything not listed is fixed):
+def _moved_images(n: int, i: int) -> dict[int, GnElement]:
+    """Images of the canonical generators that X_i moves, keyed by index;
+    every other generator is fixed.  Per-generator rules:
 
         X_1:        u_1 -> u_1^-1 nu,  u_2 -> u_1 u_2
         X_2:        s_1 -> u_2 s_1,  u_1 -> u_2 u_1,  u_2 -> u_2^-1 nu,
@@ -196,57 +199,52 @@ def action_images(n: int, i: int) -> tuple[GnElement, ...]:
     """
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} out of range for n = {n}")
-    images = [gn_generator(n, k) for k in range(n)]
-
-    def mul_into(k: int, left: GnElement) -> None:
-        images[k] = gn_mul(left, images[k])
-
-    def invert_nu(k: int) -> None:
-        images[k] = gn_mul(gn_nu(n), gn_inv(images[k]))
-
-    if i == 1:
-        invert_nu(1)
-        mul_into(2, gn_u(n, 1))
-    elif i == 2:
-        mul_into(0, gn_u(n, 2))
-        mul_into(1, gn_u(n, 2))
-        invert_nu(2)
-        if n >= 4:
-            mul_into(3, gn_u(n, 2))
-    else:
-        mul_into(i - 1, gn_u(n, i))
-        invert_nu(i)
-        if i + 1 <= n - 1:
-            mul_into(i + 1, gn_u(n, i))
-    return tuple(images)
+    u = gn_u(n, i)
+    left = ((0, 1) if i == 2 else (i - 1,) if i >= 3 else ()) + ((i + 1,) if i + 1 < n else ())
+    images = {k: gn_mul(u, gn_generator(n, k)) for k in left}
+    images[i] = gn_mul(gn_nu(n), gn_inv(u))
+    return images
 
 
-def _apply_images(images: Sequence[GnElement], g: GnElement) -> GnElement:
-    """Apply the endomorphism with the given generator images to g, using the
-    canonical decomposition of g: one power and one product per nonzero
-    coordinate.  This generic path fixes the bits of the inverse images and
-    checks each closed-form action."""
+def action_images(n: int, i: int) -> tuple[GnElement, ...]:
+    """Images of all the canonical generators under the action of X_i: those
+    of _moved_images, and the unit for every other one."""
+    moved = _moved_images(n, i)
+    return tuple(moved[k] if k in moved else gn_generator(n, k) for k in range(n))
+
+
+def _apply_images(images: Mapping[int, GnElement], g: GnElement) -> GnElement:
+    """Apply to g the endomorphism mapping generator k to images[k] (or to
+    itself when missing), one power and one product per nonzero coordinate
+    of g.  This generic path fixes the bits of the inverse images and checks
+    each closed-form action."""
     out = GnElement(g.n, g.bit, (0,) * g.n)
     for k, e in enumerate(g.vec):
         if e:
-            out = gn_mul(out, gn_pow(images[k], e))
+            out = gn_mul(out, gn_pow(images.get(k) or gn_generator(g.n, k), e))
     return out
+
+
+def _inverse_images(n: int, images: Mapping[int, GnElement]) -> dict[int, GnElement]:
+    """The images, under the inverse action, of the generators that the
+    action with the given images moves.  The abelianized X_i action is an
+    involution, so each forward vector is the candidate inverse vector;
+    composing it with the forward map proves it and fixes its central bit."""
+    inverse = {}
+    for k, image in images.items():
+        round_trip = _apply_images(images, GnElement(n, 0, image.vec))
+        if round_trip.vec != gn_generator(n, k).vec:
+            raise AssertionError("bad abelian inverse")
+        inverse[k] = GnElement(n, round_trip.bit, image.vec)
+    return inverse
 
 
 def action_inverse_images(n: int, i: int) -> tuple[GnElement, ...]:
     """Images of the canonical generators under the inverse of the X_i
-    action.  The abelianized X_i action is an involution, so each forward
-    vector is the candidate inverse vector; composing it with the forward
-    map proves it and fixes its central bit."""
+    action (see _inverse_images)."""
     fwd = action_images(n, i)
-    images = []
-    for k in range(n):
-        candidate = GnElement(n, 0, fwd[k].vec)
-        round_trip = _apply_images(fwd, candidate)
-        if round_trip.vec != gn_generator(n, k).vec:
-            raise AssertionError("bad abelian inverse")
-        images.append(GnElement(n, round_trip.bit, candidate.vec))
-    return tuple(images)
+    inverse = _inverse_images(n, {k: g for k, g in enumerate(fwd) if g != gn_generator(n, k)})
+    return tuple(inverse.get(k, g) for k, g in enumerate(fwd))
 
 
 # ---------------------------------------------------------------------------
@@ -267,26 +265,34 @@ def action_step(n: int, letter: int) -> tuple:
     diagonal: the k with beta(I_k, I_k) odd.
     cross:    the pairs k < l with beta(I_k, I_l) odd.
 
-    It is read off the generator images (action_images or
-    action_inverse_images) and checked against _apply_images on O(n)
-    elements before it is returned.
+    It is read off the images of the moved generators (_moved_images, or
+    _inverse_images of them), in O(n).  Before it is returned it is checked
+    against _apply_images on the moved units, their squares and e_k + e_l
+    for each cross pair, and every index it reads must be a moved generator
+    or i, so that it fixes every other unit as the images do.
     """
     i, sign = abs(letter), (1 if letter > 0 else -1)
-    images = action_images(n, i) if sign > 0 else action_inverse_images(n, i)
-    units = [gn_generator(n, k) for k in range(n)]
-    moved = [k for k in range(n) if images[k] != units[k]]
-    vecs = [img.vec for img in images]
-    # Unmoved generators have b_k = 0 and beta(e_k, e_l) = 0 for k <= l, and
-    # the checks below fail if an image moves a coordinate other than i.
-    cross = tuple((k, l) for k in range(n) for l in range(k + 1, n)
-                  if (k in moved or l in moved) and beta(vecs[k], vecs[l], n))
+    images = _moved_images(n, i)
+    if sign < 0:
+        images = _inverse_images(n, images)
+    moved = sorted(images)
+    # An unmoved generator has b_k = 0 and beta(e_k, e_l) = 0 for k <= l, and
+    # beta pairs only coordinates at distance <= 2, so cross pairs lie within
+    # distance 2 of the moved set once the checks below pass.
+    near = range(max(moved[0] - 2, 0), min(moved[-1] + 3, n))
+    vecs = {k: images[k].vec if k in images else gn_generator(n, k).vec for k in near}
+    cross = tuple((k, l) for k in near for l in near
+                  if k < l and (k in images or l in images) and beta(vecs[k], vecs[l], n))
     step = (i,
             tuple((k, vecs[k][i]) for k in sorted({i, *moved}) if vecs[k][i]),
             tuple(k for k in moved if images[k].bit),
             tuple(k for k in moved if beta(vecs[k], vecs[k], n)),
             cross)
-    checks = units + [gn_pow(units[k], 2) for k in moved]
-    checks += [gn_mul(units[k], units[l]) for k, l in cross]
+    if not {k for k, _ in step[1]}.union(step[2], step[3], *cross) <= {i, *moved}:
+        raise AssertionError(
+            f"closed-form action of X_{i}^{sign} on G({n}) reads an unmoved generator")
+    checks = [gn_pow(gn_generator(n, k), power) for power in (1, 2) for k in moved]
+    checks += [gn_mul(gn_generator(n, k), gn_generator(n, l)) for k, l in cross]
     for g in checks:
         if _act_steps(g, (step,)) != _apply_images(images, g):
             raise AssertionError(

@@ -50,7 +50,7 @@ from functools import lru_cache
 
 from .braid import (BraidWord, Perm, concat, inv_word, inversions, power_word, tits_lift,
                     z_ij)
-from .gn import GnElement, action_step, beta, gn_identity, gn_inv, gn_mul, s_ij
+from .gn import GnElement, _q_pairs, action_step, gn_identity, gn_inv, gn_mul, s_ij
 
 
 @dataclasses.dataclass(frozen=True)
@@ -92,7 +92,7 @@ def _identity(n: int) -> TbnNormalForm:
 @lru_cache(maxsize=None)
 def s2_table(n: int) -> tuple[GnElement, ...]:
     """Coordinates of the squared frame generators: entry i-1 is
-    Lambda(X_i^2) = s_{i, i+1}."""
+    Lambda(X_i^2) = s_{i, i+1}, multiplied out by gn.s_ij in O(n) per entry."""
     _require_quotient_n(n)
     return tuple(s_ij(n, i, i + 1) for i in range(1, n))
 
@@ -111,15 +111,18 @@ def _scan_table(n: int) -> dict[int, tuple]:
     Its first five fields are gn.action_step(n, letter), the action on g:
     vec[i] becomes the sum of c * vec[k] over row = ((k, c), ...) and the
     linear, diagonal and cross bit terms are added.  positive is sign > 0, and
-    the fold adds f = s_{i,i+1}^sign: its bit, the b with beta(f, e_b) odd and
-    its nonzero coordinates."""
+    the fold adds f = s_{i,i+1}^sign: its bit, the b with beta(f, e_b) odd
+    (read off the Q-pairs) and its nonzero coordinates.  Each step costs O(n)
+    to build, so the table costs O(n^2) on first use at each n."""
     _require_quotient_n(n)
     table = {}
     for i, s in enumerate(s2_table(n), 1):
         for sign in (1, -1):
             f = s if sign > 0 else gn_inv(s)
-            fold_beta = tuple(b for b in range(n)
-                              if beta(f.vec, [int(k == b) for k in range(n)], n))
+            odd = [0] * n  # odd[b] = beta(f, e_b), the sum over Q-pairs (k, b), mod 2
+            for k, b in _q_pairs(n):
+                odd[b] += f.vec[k]
+            fold_beta = tuple(b for b in range(n) if odd[b] & 1)
             fold_vec = tuple((k, x) for k, x in enumerate(f.vec) if x)
             table[sign * i] = action_step(n, sign * i) + (sign > 0, f.bit, fold_beta, fold_vec)
     return table

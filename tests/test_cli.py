@@ -1,6 +1,10 @@
 import io
 import json
+import os
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 from tbraid.braid import format_word, transversal_commutator
 from tbraid.cli import run
@@ -201,3 +205,49 @@ def test_negative_bound_is_a_usage_error():
         assert "argument --bound: must be >= 0" in err
     code, out, _ = invoke(["--n", "5", "--json", "prop71-check", prime, "--bound", "0"])
     assert code == 1 and json.loads(out)["bound"] == 0
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def test_subcommands_load_only_the_layers_they_use():
+    # Without a bytecode cache every tb process compiles what it imports.  A
+    # fresh process, so that no earlier test has loaded the prime-element or
+    # verification layers.
+    code = """if True:
+        import contextlib, io, sys
+        from tbraid import cli
+        light = [["--n", "4", "nf", "1 1"], ["--n", "4", "--json", "eq", "1 2 1", "2 1 2"],
+                 ["--n", "4", "eq", "--group", "bn", "1", "2"], ["--n", "4", "kernel", "1 1"],
+                 ["--n", "4", "act", "0;1,0,0,0", "2"], ["--n", "4", "--json", "lift", "1;0,0,0,0"],
+                 ["--n", "4", "lk", "1 1"], ["--n", "4", "classify", "1||+", "2||-"],
+                 ["--n", "4", "--dump-tables"], ["--n", "4", "--json", "--dump-tables"]]
+        heavy = [["--n", "5", "prime-check", "1;0,-1,0,0,0", "1;0,0,0,0,0"],
+                 ["--n", "5", "--json", "prop71-check", "1;0,-1,0,0,0"],
+                 ["--n", "5", "verify", "tits", "--cases", "5"]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.run(argv) for argv in light]
+        print(codes, sorted(m for m in ("tbraid.primes", "tbraid.verify") if m in sys.modules))
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.run(argv) for argv in heavy]
+        from tbraid import verify
+        print(codes, cli.SUITE_NAMES == tuple(verify.SUITES))
+    """
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": SRC})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[0, 0, 1, 1, 0, 0, 0, 0, 0, 0] []",
+                                          "[0, 0, 0] True"]
+
+
+def test_first_use_at_large_n_is_fast():
+    # Building the scan table used to take O(n^3) time on first use: 7-8 s
+    # for one letter at n = 160 on a 2-CPU VM, where it now takes about 0.3 s.
+    start = time.perf_counter()
+    result = subprocess.run([sys.executable, "-m", "tbraid.cli", "--n", "160", "nf", "1"],
+                            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+                            timeout=60)
+    wall = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("perm: 2 1 3 ") and "bit: 0\n" in result.stdout
+    assert wall < 2.0, wall

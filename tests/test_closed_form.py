@@ -4,8 +4,11 @@ The oracles are the generic paths the closed form replaced: `_apply_images`
 (one gn_pow and one gn_mul per coordinate) for the action, the
 letter-by-letter scan over GnElements below for the normal form, and the
 retired per-letter loop over `apply_step` for the fused scan from arbitrary
-start states.  Mutants of the derived tables (every field of an action step
-and of a fused scan step) must be caught by the same comparisons.
+start states.  The O(n) derivations of the tables keep their O(n^2) forms
+here: an action step read off all n generator images and checked on every
+unit, and the fold's beta indices by one dense beta per coordinate.  Mutants
+of the derived tables (every field of an action step and of a fused scan
+step) must be caught by the same comparisons.
 """
 
 import functools
@@ -31,6 +34,7 @@ from tbraid.braid import (
 )
 from tbraid.gn import (
     GnElement,
+    _act_steps,
     _apply_images,
     act_generator,
     act_word,
@@ -38,9 +42,12 @@ from tbraid.gn import (
     action_inverse_images,
     action_step,
     beta,
+    format_element,
+    gn_generator,
     gn_identity,
     gn_inv,
     gn_mul,
+    gn_pow,
 )
 from tbraid.quotient import TbnNormalForm, c_word, normal_form, s2_table
 
@@ -54,7 +61,7 @@ SCAN_NS = range(4, 17)
 def _images(n, i, sign):
     # The generator images are the oracle of many samples per letter, and gn
     # keeps no copy of them.
-    return action_images(n, i) if sign > 0 else action_inverse_images(n, i)
+    return dict(enumerate(action_images(n, i) if sign > 0 else action_inverse_images(n, i)))
 
 
 def apply_step(step, bit, vec):
@@ -159,6 +166,36 @@ def test_action_mutants_are_caught(field):
         return step[:k] + (mutate(step[k]),) + step[k + 1:]
 
     assert _first_action_mismatch(mutant) is not None
+
+
+def full_action_step(n, letter):
+    """The action step as it was read off all n generator images, with its
+    self-check on every unit: O(n^2) per letter."""
+    i, sign = abs(letter), (1 if letter > 0 else -1)
+    images = action_images(n, i) if sign > 0 else action_inverse_images(n, i)
+    units = [gn_generator(n, k) for k in range(n)]
+    moved = [k for k in range(n) if images[k] != units[k]]
+    vecs = [img.vec for img in images]
+    cross = tuple((k, l) for k in range(n) for l in range(k + 1, n)
+                  if (k in moved or l in moved) and beta(vecs[k], vecs[l], n))
+    step = (i,
+            tuple((k, vecs[k][i]) for k in sorted({i, *moved}) if vecs[k][i]),
+            tuple(k for k in moved if images[k].bit),
+            tuple(k for k in moved if beta(vecs[k], vecs[k], n)),
+            cross)
+    checks = units + [gn_pow(units[k], 2) for k in moved]
+    checks += [gn_mul(units[k], units[l]) for k, l in cross]
+    for g in checks:
+        if _act_steps(g, (step,)) != _apply_images(dict(enumerate(images)), g):
+            raise AssertionError(f"X_{i}^{sign} on G({n}) disagrees at {format_element(g)}")
+    return step
+
+
+def test_action_step_matches_the_full_derivation():
+    for n in range(3, 21):
+        for i in range(1, n):
+            for letter in (i, -i):
+                assert action_step(n, letter) == full_action_step(n, letter), (n, letter)
 
 
 def test_closed_form_is_sparse():
@@ -293,6 +330,17 @@ def retired_scan(start: TbnNormalForm, letters) -> TbnNormalForm:
             for k, x in fold_vec:
                 vec[k] += x
     return TbnNormalForm(Perm(n, tuple(a)), GnElement(n, bit & 1, tuple(vec)))
+
+
+def test_scan_table_matches_the_retired_fold():
+    # The fold's bit, beta indices and coordinates, against one dense beta
+    # per coordinate, and the action fields against action_step.
+    for n in range(4, 21):
+        table = quotient._scan_table(n)
+        assert sorted(table) == sorted({*range(1, n), *range(1 - n, 0)})
+        for letter, step in table.items():
+            action, fold = _retired_step(n, letter)
+            assert step == action + (letter > 0,) + fold, (n, letter)
 
 
 def test_fused_scan_matches_the_retired_loop():

@@ -31,6 +31,7 @@ from tbraid.gn import (
     gn_mul,
     gn_nu,
     gn_pow,
+    gn_product,
     gn_s1,
     gn_u,
     parse_element,
@@ -169,6 +170,20 @@ def test_s_ij_against_rewriting_oracle():
                 assert s_ij(n, i, j) == GnElement(n, bit, vec)
 
 
+def test_s_ij_matches_the_product_of_factors():
+    # s_ij multiplies out its factors on one vector; the oracle multiplies the
+    # dense elements with gn_product.
+    for n in range(3, 21):
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                if i >= 2:
+                    factors = [gn_nu(n)] + [gn_u(n, m) for m in range(j - 1, 0, -1)]
+                    factors += [gn_u(n, m) for m in range(i - 1, 1, -1)]
+                else:
+                    factors = [gn_u(n, m) for m in range(j - 1, 1, -1)]
+                assert s_ij(n, i, j) == gn_product(factors + [gn_s1(n)], n), (n, i, j)
+
+
 def test_ab_vector():
     assert gn_nu(4).vec == (0, 0, 0, 0)
     assert s_ij(4, 1, 2).vec == (1, 0, 0, 0)
@@ -270,6 +285,39 @@ def test_guards_raise_under_python_O():
                             text=True, env={**os.environ, "PYTHONPATH": src})
     assert result.returncode != 0
     assert "AssertionError: bad abelian inverse" in result.stderr
+
+
+def test_action_step_mutants_raise_under_python_O():
+    # Wrong images of the moved generators must make action_step raise, also
+    # under python -O: an image moved at a coordinate other than i, one moved
+    # onto u_7, outside the generators X_3 moves, and X_2 with u_1 left out.
+    src = str(Path(tbraid.__file__).resolve().parents[1])
+    code = ("from tbraid import gn\n"
+            "real = gn._moved_images\n"
+            "def mutant(change):\n"
+            "    def moved(n, i):\n"
+            "        images = real(n, i)\n"
+            "        change(n, images)\n"
+            "        return images\n"
+            "    return moved\n"
+            "cases = [(6, 3, lambda n, im: im.update({2: gn.gn_mul(im[2], gn.gn_u(n, 4))})),\n"
+            "         (8, 3, lambda n, im: im.update({4: gn.gn_mul(im[4], gn.gn_u(n, 7))})),\n"
+            "         (5, 2, lambda n, im: im.pop(1))]\n"
+            "for n, i, change in cases:\n"
+            "    gn._moved_images = mutant(change)\n"
+            "    try:\n"
+            "        gn.action_step(n, i)\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
+            "    else:\n"
+            "        print('accepted')\n")
+    result = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert result.stdout.splitlines() == [
+        "closed-form action of X_3^1 on G(6) disagrees at 0;0,0,1,0,0,0",
+        "closed-form action of X_3^1 on G(8) reads an unmoved generator",
+        "closed-form action of X_2^1 on G(5) reads an unmoved generator",
+    ]
 
 
 def test_the_scan_table_keeps_no_generator_images():

@@ -38,8 +38,8 @@ whose images are built from the moved generators alone.  Help is rendered
 
 import os
 import random
-from unittest import mock
 from pathlib import Path
+from unittest import mock
 
 from test_cli import invoke
 
